@@ -13,11 +13,9 @@ from .coherent import (
     build_state,
     continuity_gap,
     log_normalization_sq,
-    log_rho,
     log_rho_closed,
     log_rho_sequence,
     overlap,
-    radius_of_convergence,
 )
 from .dynamics import (
     RevivalEvent,
@@ -42,10 +40,7 @@ from .errors import (
     TruncatedSpectrumError,
 )
 from .specfun import (
-    DEFAULT_CONTROL,
-    SeriesControl,
     bessel_k,
-    hyp0f1,
     log_bessel_k,
     log_gamma,
     log_hyp0f1,
@@ -57,8 +52,6 @@ from .spectrum import (
     QuasiHarmonic,
     ShapeInvarianceChain,
     SpectrumModel,
-    e_n,
-    energy,
     si_energy,
     standard_chain,
 )

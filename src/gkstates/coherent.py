@@ -4,12 +4,17 @@ A state |J, gamma> has coefficients c_n = J^(n/2) e^(-i gamma e_n) /
 (N(J) sqrt(rho_n)) with rho_n the running product of the dimensionless
 levels e_1 ... e_n and N^2(J) = sum_n J^n / rho_n.  All weights are carried
 as logarithms; exponentiation happens once, after a max subtraction.
+
+Every series sum_n x^n / rho_n -- the normalisation, the overlap of two
+states (at x = sqrt(J_a J_b)) and 0F1 (levels d_k = k (b + k - 1)) -- is
+taken over the window that _series_window certifies around its largest term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,26 +25,29 @@ from .errors import (
     ModelMismatchError,
     TruncatedSpectrumError,
 )
-from .specfun import DEFAULT_CONTROL, SeriesControl, log_gamma
 from .spectrum import Morse, QuasiHarmonic, SpectrumModel
 
 __all__ = [
     "CoherentState",
-    "log_rho",
     "log_rho_sequence",
     "log_rho_closed",
     "log_normalization_sq",
     "build_state",
-    "radius_of_convergence",
     "overlap",
     "continuity_gap",
 ]
 
-# Truncation rule: drop the tail once terms fall below 1e-18 of the peak
-# (the probability tail this leaves behind is far below the 1e-15 budget),
-# never retaining more than 5000 components.
+# Truncation rule: the window around the largest term t_mode ends on each
+# side where a geometric bound puts the rest of the series below 1e-18 t_mode
+# (the probability this drops is far below the 1e-15 budget), and it holds
+# at most 5000 components.
 _TAIL_LOG = 18.0 * math.log(10.0)
 _MAX_COMPONENTS = 5000
+# Quantum numbers probed for the peak: 1..64, then the powers of two.
+_FIRST = np.arange(1, 65)
+_PROBES = 2 ** np.arange(63, dtype=np.int64)
+
+Levels = Callable[[np.ndarray], np.ndarray]
 
 
 def _require_constructible(model: SpectrumModel) -> None:
@@ -50,27 +58,119 @@ def _require_constructible(model: SpectrumModel) -> None:
         )
 
 
+def _require_argument(J: float) -> None:
+    if not J >= 0:
+        raise DomainError(f"J must be >= 0, got {J}")
+
+
+def _positive_levels(levels: Levels, k: np.ndarray) -> np.ndarray:
+    """e_k over an array of quantum numbers k >= 1, each of which must be positive."""
+    e = levels(k)
+    if not (e > 0).all():
+        i = int(np.argmin(e > 0))
+        raise DegenerateSpectrumError(
+            f"e_{int(k[i])} = {e[i]} is not positive; rho_n is undefined"
+        )
+    return e
+
+
+class _Window(NamedTuple):
+    """Terms t_n = x^n / rho_n of a series over n = n_lo .. n_hi."""
+
+    n: np.ndarray  # the quantum numbers n_lo .. n_hi
+    e: np.ndarray  # their levels e_n
+    log_terms: np.ndarray  # ln(t_n / t_mode) <= 0, t_mode the largest term
+    log_peak: float  # ln t_mode
+
+    def log_sum(self) -> float:
+        """ln sum_n t_n."""
+        return self.log_peak + math.log(np.exp(self.log_terms).sum())
+
+
+def _mode(levels: Levels, x: float) -> int:
+    """Largest n with e_n <= x: t_n / t_(n-1) = x / e_n puts the largest term there."""
+    e = levels(_FIRST)
+    if e[-1] > x:
+        return int(e.searchsorted(x, side="right"))
+    e = levels(_PROBES)
+    k = int(e.searchsorted(x, side="right"))
+    if k == len(_PROBES):
+        raise DomainError(
+            f"x={x:g} lies outside the radius of convergence of sum x^n / rho_n: "
+            f"the levels stay below it up to n=2^62, where e_n = {e[-1]:.6g}"
+        )
+    lo, hi = int(_PROBES[k - 1]), int(_PROBES[k])
+    while hi - lo > 1:
+        pts = np.arange(lo, hi, max(1, (hi - lo) // 64))
+        i = int(levels(pts).searchsorted(x, side="right")) - 1
+        lo, hi = int(pts[i]), int(pts[i + 1]) if i + 1 < len(pts) else hi
+    return lo
+
+
+def _cut(steps: np.ndarray) -> tuple[np.ndarray, bool]:
+    """ln(t_n / t_mode) for n stepping away from the mode by the log-ratios
+    ``steps``, out to the last term kept, and whether the side ended there.
+
+    The levels increase, so the ratio s of the next step (x / e_(n+1) up,
+    e_n / x down) bounds every later one, and t_n with the terms beyond it
+    sums to at most t_n / (1 - s).  The side ends at the first n where that
+    bound is below 1e-18 t_mode: the last term kept and everything dropped
+    after it both stay below the cut.
+    """
+    run = np.cumsum(steps)
+    keep = np.exp(run - steps + _TAIL_LOG) + np.exp(steps) >= 1.0
+    if keep.all():
+        return run, False
+    stop = int(keep.argmin())
+    return run[:stop], True
+
+
+def _series_window(levels: Levels, x: float) -> _Window:
+    """The terms of sum_n x^n / rho_n, rho_n = e_1 ... e_n, that carry all
+    but 1e-18 of its largest term on either side (x >= 0, levels increasing)."""
+    if x == 0.0:
+        return _Window(np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1), 0.0)
+    log_x = math.log(x)
+    mode = _mode(levels, x)
+    span = min(32 + 8 * math.isqrt(mode), _MAX_COMPONENTS)
+    while True:
+        lo = max(mode - span, 1)  # the block holds e_lo .. e_(mode+span)
+        e = _positive_levels(levels, np.arange(lo, mode + span + 1))
+        log_e = np.log(e)
+        tail, tail_done = _cut(log_x - log_e[mode - lo + 1 :])
+        head, head_done = _cut(log_e[: mode - lo + 1][::-1] - log_x)
+        if tail_done and (head_done or lo == 1):  # no term lies below n = 0
+            break
+        if span == _MAX_COMPONENTS:
+            raise ConvergenceError(
+                f"the series at x={x:g} needs more than {span} components on one "
+                f"side of its peak n={mode}, over the cap of {_MAX_COMPONENTS} components"
+            )
+        span = min(2 * span, _MAX_COMPONENTS)
+    n_lo, n_hi = mode - len(head), mode + len(tail)
+    if n_hi - n_lo + 1 > _MAX_COMPONENTS:
+        raise ConvergenceError(
+            f"the series at x={x:g} needs {n_hi - n_lo + 1} components around its "
+            f"peak n={mode}, over the cap of {_MAX_COMPONENTS} components"
+        )
+    log_rho_mode = float(log_e[: mode - lo + 1].sum())
+    if lo > 1:
+        log_rho_mode += float(np.log(_positive_levels(levels, np.arange(1, lo))).sum())
+    e_window = e[n_lo - lo : n_hi - lo + 1] if n_lo else np.concatenate(([0.0], e[:n_hi]))
+    return _Window(
+        np.arange(n_lo, n_hi + 1),
+        e_window,
+        np.concatenate((head[::-1], [0.0], tail)),
+        mode * log_x - log_rho_mode,
+    )
+
+
 def log_rho_sequence(model: SpectrumModel, n_max: int) -> np.ndarray:
     """Array of ln rho_n for n = 0 .. n_max (rho_0 = 1)."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    out = np.empty(n_max + 1)
-    out[0] = 0.0
-    acc = 0.0
-    for i in range(1, n_max + 1):
-        e = model.e_n(i)
-        if not e > 0:
-            raise DegenerateSpectrumError(
-                f"e_{i} = {e} is not positive; rho_n is undefined"
-            )
-        acc += math.log(e)
-        out[i] = acc
-    return out
-
-
-def log_rho(model: SpectrumModel, n: int) -> float:
-    """ln rho_n as the direct sum of ln e_i."""
-    return float(log_rho_sequence(model, n)[n])
+    e = _positive_levels(model.levels, np.arange(1, n_max + 1))
+    return np.concatenate(([0.0], np.cumsum(np.log(e))))
 
 
 def log_rho_closed(model: SpectrumModel, n: int) -> float:
@@ -80,74 +180,35 @@ def log_rho_closed(model: SpectrumModel, n: int) -> float:
     if isinstance(model, QuasiHarmonic):
         u = model.upsilon
         if u == 0.0:
-            return log_gamma(n + 1.0)  # Poisson limit: rho_n = n!
+            return math.lgamma(n + 1.0)  # Poisson limit: rho_n = n!
         b = 2.0 + 1.0 / u**2
-        return log_gamma(n + 1.0) + 2.0 * n * math.log(u) + log_gamma(b + n) - log_gamma(b)
+        return math.lgamma(n + 1.0) + 2.0 * n * math.log(u) + math.lgamma(b + n) - math.lgamma(b)
     if isinstance(model, Morse):
-        return log_gamma(n + 1.0) + 2.0 * n * math.log(model.mu)
+        return math.lgamma(n + 1.0) + 2.0 * n * math.log(model.mu)
     raise DomainError(f"no closed-form rho_n for model {model!r}")
 
 
-def _log_series_terms(
-    model: SpectrumModel, J: float, ctl: SeriesControl
-) -> np.ndarray:
-    """Log-terms n ln J - ln rho_n of the normalisation series, truncated."""
-    if J < 0:
-        raise DomainError(f"J must be >= 0, got {J}")
-    if J == 0.0:
-        return np.zeros(1)
-    log_j = math.log(J)
-    terms = [0.0]
-    lt = 0.0
-    lt_max = 0.0
-    cap = min(_MAX_COMPONENTS, ctl.max_terms)
-    for n in range(1, cap + 1):
-        e = model.e_n(n)
-        if not e > 0:
-            raise DegenerateSpectrumError(
-                f"e_{n} = {e} is not positive; series terms are undefined"
-            )
-        lt += log_j - math.log(e)
-        terms.append(lt)
-        lt_max = max(lt_max, lt)
-        if J < e and lt < lt_max - _TAIL_LOG:
-            return np.asarray(terms)
-    if J >= model.e_n(cap):
-        raise DomainError(
-            f"J={J} appears to lie outside the radius of convergence of {model!r}"
-        )
-    raise ConvergenceError(
-        f"normalisation series for J={J} still above the tail cutoff "
-        f"after {cap} terms"
-    )
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(values.max())
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
-def log_normalization_sq(
-    model: SpectrumModel, J: float, ctl: SeriesControl | None = None
-) -> float:
+def log_normalization_sq(model: SpectrumModel, J: float) -> float:
     """ln N^2(J) = ln sum_n J^n / rho_n by direct series summation."""
     _require_constructible(model)
-    terms = _log_series_terms(model, J, ctl or DEFAULT_CONTROL)
-    return _logsumexp(terms)
+    _require_argument(J)
+    return _series_window(model.levels, J).log_sum()
 
 
 @dataclass(frozen=True, eq=False)
 class CoherentState:
     """Immutable Gazeau-Klauder state |J, gamma> over a spectrum model.
 
-    log_weights[n] holds ln P_n = ln(J^n / (N^2(J) rho_n)); the phase of the
-    n-th coefficient is exp(-i e_n (gamma + omega t)) and is generated on
-    demand rather than stored.
+    Component i is the level n[i] of the certified window: log_weights[i]
+    holds ln P_n = ln(J^n / (N^2(J) rho_n)) and e_values[i] its level e_n.
+    The phase of the n-th coefficient is exp(-i e_n (gamma + omega t)) and is
+    generated on demand rather than stored.
     """
 
     model: SpectrumModel
     J: float
     gamma: float
+    n: np.ndarray = field(repr=False)
     log_weights: np.ndarray = field(repr=False)
     e_values: np.ndarray = field(repr=False)
     log_norm_sq: float
@@ -164,7 +225,7 @@ class CoherentState:
 
     def mean_n(self) -> float:
         """Mean excitation number <n>."""
-        return float(np.dot(self.weights, np.arange(self.truncation_n)))
+        return float(np.dot(self.weights, self.n))
 
     def coefficients(self, time: float = 0.0) -> np.ndarray:
         """Complex expansion coefficients c_n at evolution time t."""
@@ -173,91 +234,42 @@ class CoherentState:
         return mag * np.exp(1j * phase)
 
 
-def build_state(
-    model: SpectrumModel,
-    J: float,
-    gamma: float = 0.0,
-    ctl: SeriesControl | None = None,
-) -> CoherentState:
-    """Construct |J, gamma>, truncated so the omitted tail mass is < 1e-15."""
+def build_state(model: SpectrumModel, J: float, gamma: float = 0.0) -> CoherentState:
+    """Construct |J, gamma> over the certified window (omitted mass < 1e-15)."""
     _require_constructible(model)
+    _require_argument(J)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
-    terms = _log_series_terms(model, J, ctl or DEFAULT_CONTROL)
-    lns = _logsumexp(terms)
-    n = np.arange(len(terms))
-    e_vals = np.array([0.0] + [model.e_n(int(k)) for k in n[1:]])
+    window = _series_window(model.levels, J)
+    lse = math.log(np.exp(window.log_terms).sum())  # ln(N^2 / t_mode)
     return CoherentState(
         model=model,
         J=float(J),
         gamma=float(gamma),
-        log_weights=terms - lns,
-        e_values=e_vals,
-        log_norm_sq=lns,
+        n=window.n,
+        log_weights=window.log_terms - lse,
+        e_values=window.e,
+        log_norm_sq=window.log_peak + lse,
     )
-
-
-def radius_of_convergence(model: SpectrumModel) -> float:
-    """Estimate R = lim rho_n^(1/n) from the ratio sequence rho_{n+1}/rho_n = e_{n+1}.
-
-    The ratios are followed over the window n in [200, 400] and extended
-    geometrically while they keep growing; a sequence still growing past 1e6
-    is classified as an infinite radius.
-    """
-    if model.n_max_valid is not None:
-        return math.inf  # finite sum: entire function of J
-    prev = model.e_n(200)
-    n = 201
-    while n <= 10_000_000:
-        cur = model.e_n(n)
-        if cur > 1e6 and cur > prev:
-            return math.inf
-        if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        n = n + 1 if n < 400 else int(math.ceil(n * 1.25))
-    return math.inf if cur > prev else cur
-
-
-def _extended_log_weights(state: CoherentState, n_last: int) -> np.ndarray:
-    """State's ln P_n extended (with its own normalisation) out to index n_last."""
-    have = state.truncation_n - 1
-    if n_last <= have:
-        return state.log_weights[: n_last + 1]
-    if state.J == 0.0:
-        out = np.full(n_last + 1, -math.inf)
-        out[0] = state.log_weights[0]
-        return out
-    log_j = math.log(state.J)
-    extra = np.empty(n_last - have)
-    lt = state.log_weights[have] + state.log_norm_sq
-    for i, n in enumerate(range(have + 1, n_last + 1)):
-        lt += log_j - math.log(state.model.e_n(n))
-        extra[i] = lt
-    return np.concatenate([state.log_weights, extra - state.log_norm_sq])
 
 
 def overlap(state_a: CoherentState, state_b: CoherentState) -> complex:
     """<b|a> = sum_n sqrt(P_n^a P_n^b) exp(-i (gamma_a - gamma_b) e_n).
 
-    Hermitian in its arguments: overlap(a, b) == conj(overlap(b, a)).
+    sqrt(P_n^a P_n^b) is the n-th term of the normalisation series at
+    x = sqrt(J_a J_b) over N(J_a) N(J_b), so the sum runs over that series'
+    own window.  Hermitian in its arguments: overlap(a, b) == conj(overlap(b, a)).
     """
     if state_a.model != state_b.model:
         raise ModelMismatchError(
             f"cannot overlap states on different models: "
             f"{state_a.model!r} vs {state_b.model!r}"
         )
-    n_last = max(state_a.truncation_n, state_b.truncation_n) - 1
-    lwa = _extended_log_weights(state_a, n_last)
-    lwb = _extended_log_weights(state_b, n_last)
-    mag = np.exp(0.5 * (lwa + lwb))
-    e_vals = (
-        state_a.e_values
-        if state_a.truncation_n >= state_b.truncation_n
-        else state_b.e_values
-    )
+    window = _series_window(state_a.model.levels, math.sqrt(state_a.J * state_b.J))
+    log_scale = window.log_peak - 0.5 * (state_a.log_norm_sq + state_b.log_norm_sq)
+    mag = np.exp(window.log_terms + log_scale)
     dgamma = state_a.gamma - state_b.gamma
-    return complex(np.sum(mag * np.exp(-1j * dgamma * e_vals)))
+    return complex(np.sum(mag * np.exp(-1j * dgamma * window.e)))
 
 
 def continuity_gap(state_a: CoherentState, state_b: CoherentState) -> float:

@@ -1,9 +1,9 @@
 """Special-function kernel: log-gamma, Pochhammer, confluent 0F1, modified Bessel K.
 
 Everything here is a pure function of its arguments.  The 0F1 series is
-accumulated from log-domain term ratios so that large arguments (z of order
-1e5 and beyond) never overflow intermediate terms; K_nu is evaluated from its
-integral representation
+summed in log space over the certified window of the coherent-state series
+kernel, so that large arguments (z of order 1e5 and beyond) never overflow
+intermediate terms; K_nu is evaluated from its integral representation
 
     K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt
 
@@ -13,39 +13,19 @@ by panelled Gauss-Legendre quadrature of the log-shifted integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .coherent import _series_window
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "log_gamma",
     "log_pochhammer",
-    "hyp0f1",
     "log_hyp0f1",
     "bessel_k",
     "log_bessel_k",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Convergence budget for series evaluation."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 def log_gamma(x: float) -> float:
@@ -68,48 +48,17 @@ def log_pochhammer(a: float, n: int) -> float:
     return math.lgamma(a + n) - math.lgamma(a)
 
 
-def log_hyp0f1(b: float, z: float, ctl: SeriesControl | None = None) -> float:
+def log_hyp0f1(b: float, z: float) -> float:
     """ln 0F1(b; z) for b > 0, z >= 0.
 
-    Terms obey t_{k+1}/t_k = z / ((b+k)(k+1)); the recursion is carried in
-    log space and the positive series is summed with a single
-    max-subtraction at the end.
+    0F1(b; z) = sum_k z^k / ((b)_k k!) is the series sum_k z^k / rho_k over
+    the levels d_k = k (b + k - 1), summed over its certified window.
     """
-    if ctl is None:
-        ctl = DEFAULT_CONTROL
     if not b > 0:
         raise DomainError(f"hyp0f1 requires b > 0, got {b}")
-    if z < 0:
+    if not z >= 0:
         raise DomainError(f"hyp0f1 requires z >= 0, got {z}")
-    if z == 0.0:
-        return 0.0
-
-    log_z = math.log(z)
-    log_terms = [0.0]
-    lt = 0.0
-    lt_max = 0.0
-    for k in range(ctl.max_terms):
-        lt += log_z - math.log(b + k) - math.log(k + 1)
-        log_terms.append(lt)
-        lt_max = max(lt_max, lt)
-        ratio = z / ((b + k + 1) * (k + 2))  # next term / this term
-        if ratio < 0.5 and lt < lt_max + math.log(ctl.rel_tol) - 1.0:
-            break
-    else:
-        raise ConvergenceError(
-            f"0F1(b={b}; z={z}) did not converge within {ctl.max_terms} terms"
-        )
-    arr = np.asarray(log_terms)
-    return lt_max + math.log(np.sum(np.exp(arr - lt_max)))
-
-
-def hyp0f1(b: float, z: float, ctl: SeriesControl | None = None) -> float:
-    """0F1(b; z) = sum_k z^k / ((b)_k k!).  May overflow to inf for huge z."""
-    lv = log_hyp0f1(b, z, ctl)
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
+    return _series_window(lambda k: k * (b - 1.0 + k), z).log_sum()
 
 
 # Gauss-Legendre rule reused by every bessel_k call.

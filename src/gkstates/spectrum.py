@@ -12,6 +12,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidChainError, SpectrumRangeError, DomainError
 
 __all__ = [
@@ -20,8 +22,6 @@ __all__ = [
     "Morse",
     "MathewsLakshmanan",
     "ShapeInvarianceChain",
-    "e_n",
-    "energy",
     "si_energy",
     "standard_chain",
 ]
@@ -46,7 +46,8 @@ class SpectrumModel:
         """Largest valid quantum number, or None for an unbounded spectrum."""
         return None
 
-    def _e_raw(self, n: float) -> float:
+    def _e_raw(self, n):
+        """e_n for a number or, elementwise, for an integer array."""
         raise NotImplementedError
 
     def e_n_derivative(self, n: float, order: int) -> float:
@@ -65,6 +66,14 @@ class SpectrumModel:
         """Dimensionless level e_n = (E_n - E_0) / omega."""
         self.validate_n(n)
         return self._e_raw(n)
+
+    def levels(self, n: np.ndarray) -> np.ndarray:
+        """Dimensionless levels e_n over an integer array of quantum numbers."""
+        n = np.asarray(n)
+        if n.size:
+            self.validate_n(int(n.min()))
+            self.validate_n(int(n.max()))
+        return np.asarray(self._e_raw(n), dtype=float)
 
     def energy(self, n: int) -> float:
         """Physical energy E_n = E_0 + omega * e_n."""
@@ -187,16 +196,6 @@ class MathewsLakshmanan(SpectrumModel):
         if order == 2:
             return -self.lambda_tilde
         return 0.0
-
-
-def e_n(model: SpectrumModel, n: int) -> float:
-    """Dimensionless eigenenergy e_n of a model."""
-    return model.e_n(n)
-
-
-def energy(model: SpectrumModel, n: int) -> float:
-    """Physical eigenenergy E_n of a model."""
-    return model.energy(n)
 
 
 @dataclass(frozen=True)

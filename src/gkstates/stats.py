@@ -44,12 +44,16 @@ class WeightingDistribution:
 
 
 def distribution(model: SpectrumModel, J: float) -> WeightingDistribution:
-    """P_n = J^n / (N^2(J) rho_n) with moments by direct summation."""
+    """P_n = J^n / (N^2(J) rho_n) with moments by direct summation.
+
+    probs is indexed by n from 0; levels below the state's window hold exact zeros.
+    """
     state = build_state(model, J, 0.0)
-    probs = state.weights
-    n = np.arange(len(probs), dtype=float)
-    mean = math.fsum(probs * n)
-    second = math.fsum(probs * n * n)
+    weights, n = state.weights, state.n
+    probs = np.zeros(int(n[-1]) + 1)
+    probs[n] = weights
+    mean = math.fsum(weights * n)
+    second = math.fsum(weights * n * n)
     var = second - mean * mean
     q = (var - mean) / mean if mean > 0 else 0.0
     return WeightingDistribution(

@@ -242,13 +242,7 @@ def coherent_density(
         )
     if grid is None:
         grid = default_grid(model)
-    coeff = state.coefficients(time)
-    rho = grid.points
-    m = weight_deformation(model)
-    weight = _weight_power(model, rho)
-    acc = np.zeros(len(rho), dtype=complex)
-    for n_idx in range(state.truncation_n):
-        psi = modified_hermite(n_idx, m)(rho) * weight
-        psi /= math.sqrt(_simpson(psi**2, grid.h))
-        acc += coeff[n_idx] * psi
+    acc = np.zeros(len(grid.points), dtype=complex)
+    for n, c in zip(state.n.tolist(), state.coefficients(time)):
+        acc += c * eigenfunction(n, model, grid)
     return np.abs(acc) ** 2

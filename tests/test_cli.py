@@ -69,6 +69,16 @@ def test_dist_sums_to_one():
     assert abs(total - 1.0) <= 1e-12
 
 
+def test_dist_rows_start_at_zero_for_a_window_far_from_it():
+    # the Poisson window at J = 3000 starts near n = 2500; the rows below it are zeros
+    cp = run_cli("dist", "--upsilon", "0", "--J", "3000")
+    assert cp.returncode == 0, cp.stderr
+    header, rows = read_csv(cp.stdout)
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    assert abs(math.fsum(float(r[1]) for r in rows) - 1.0) <= 1e-12
+    assert abs(math.fsum(int(r[0]) * float(r[1]) for r in rows) - 3000.0) <= 1e-9 * 3000.0
+
+
 def test_autocorr_full_revival(tmp_path: Path):
     out = tmp_path / "auto.csv"
     cp = run_cli(

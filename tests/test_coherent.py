@@ -1,12 +1,15 @@
 """Coherent-state construction: rho, normalisation, weights, overlaps."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from gkstates import (
+    ConvergenceError,
     DegenerateSpectrumError,
     DomainError,
     ModelMismatchError,
@@ -18,11 +21,9 @@ from gkstates import (
     build_state,
     continuity_gap,
     log_normalization_sq,
-    log_rho,
     log_rho_closed,
     log_rho_sequence,
     overlap,
-    radius_of_convergence,
 )
 
 
@@ -36,7 +37,7 @@ class GeometricSpectrum(SpectrumModel):
         return 0.0
 
     def _e_raw(self, n):
-        return 0.0 if n == 0 else 1.0 - 2.0 ** (-n)
+        return np.where(n == 0, 0.0, 1.0 - 2.0 ** (-n))
 
     def e_n_derivative(self, n, order):
         raise NotImplementedError
@@ -50,20 +51,20 @@ class DegenerateSpectrum(SpectrumModel):
         return 0.0
 
     def _e_raw(self, n):
-        return 0.0 if n <= 1 else float(n)
+        return np.where(n <= 1, 0.0, n)
 
 
 def test_rho_zero_is_one():
     for model in (QuasiHarmonic(upsilon=0.3), Morse(mu=2.0)):
-        assert log_rho(model, 0) == 0.0
+        assert log_rho_sequence(model, 0)[0] == 0.0
 
 
 def test_rho_direct_substitution():
     # e_1 = 1.5, e_2 = 3.5 at ups = 0.5 -> rho_2 = 5.25
     m = QuasiHarmonic(alpha=1.0, upsilon=0.5)
-    assert math.isclose(log_rho(m, 2), math.log(5.25), rel_tol=1e-14)
+    assert math.isclose(log_rho_sequence(m, 2)[2], math.log(5.25), rel_tol=1e-14)
     # Morse: rho_n = n! mu^(2n); mu=2, n=3 -> 3! * 4^3 = 384
-    assert math.isclose(log_rho(Morse(mu=2.0), 3), math.log(384.0), rel_tol=1e-14)
+    assert math.isclose(log_rho_sequence(Morse(mu=2.0), 3)[3], math.log(384.0), rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("ups", [0.05, 0.1, 0.5, 1.0, 2.0])
@@ -134,6 +135,16 @@ def test_morse_weights_are_poisson():
     assert np.max(np.abs(st.weights - poisson)) < 1e-14
 
 
+def test_wide_morse_state_is_poisson_over_its_window():
+    # Poisson mean J/mu^2 = 5010; the window starts far above n = 0
+    st = build_state(Morse(mu=0.5), 1252.5)
+    assert st.n[0] > 4000
+    assert abs(st.mean_n() - 5010.0) <= 1e-9 * 5010.0
+    # lgamma(n + 1) ~ 3.7e4 limits the reference to about 1e-11 relative
+    log_poisson = np.array([-5010.0 + n * math.log(5010.0) - math.lgamma(n + 1.0) for n in st.n])
+    assert np.allclose(st.weights, np.exp(log_poisson), rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("J", [1.0, 5.0, 20.0])
 def test_small_upsilon_limit_is_poisson(J):
     st = build_state(QuasiHarmonic(alpha=1.0, upsilon=1e-6), J, 0.0)
@@ -165,19 +176,23 @@ def test_truncated_spectrum_rejected():
 
 
 def test_j_outside_convergence_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="radius of convergence"):
         build_state(GeometricSpectrum(), 2.0, 0.0)  # radius is 1
+
+
+def test_wide_window_names_the_component_cap():
+    # the Poisson window at J = 1e5 needs about 6000 components (+-9.5 sigma),
+    # over the 5000-component cap, although the radius of convergence is infinite
+    with pytest.raises(ConvergenceError, match=r"needs (\d+) components .* cap of 5000") as err:
+        build_state(QuasiHarmonic(upsilon=0.0), 1e5)
+    message = str(err.value)
+    assert 5900 <= int(re.search(r"needs (\d+)", message).group(1)) <= 6100
+    assert "radius" not in message
 
 
 def test_gamma_must_be_finite():
     with pytest.raises(DomainError):
         build_state(QuasiHarmonic(upsilon=0.1), 1.0, math.inf)
-
-
-def test_radius_of_convergence():
-    assert radius_of_convergence(QuasiHarmonic(upsilon=0.3)) == math.inf
-    assert radius_of_convergence(Morse(mu=1.0)) == math.inf
-    assert abs(radius_of_convergence(GeometricSpectrum()) - 1.0) <= 1e-3
 
 
 def test_overlap_self_is_one():
@@ -246,3 +261,43 @@ def test_continuity_gap():
     assert continuity_gap(st, near) < 1e-6
     far = build_state(m, 100.0, 2.0)
     assert 0.0 <= continuity_gap(st, far) <= 4.0
+
+
+def j_values(j_max):
+    # from 1e-300 up: below that P_1 = J / e_1 is subnormal and <e_n> loses digits
+    return strategies.one_of(strategies.just(0.0), strategies.floats(1e-300, j_max))
+
+
+@strategies.composite
+def model_and_j(draw):
+    """A model, a model with the same levels and a closed-form rho_n, and J."""
+    kind = draw(strategies.sampled_from(("quasiharmonic", "morse", "mathews-lakshmanan")))
+    if kind == "morse":
+        mu = draw(strategies.floats(0.01, 4.0))
+        # the Poisson window at mean J/mu^2 = 2e4 holds about 2700 components
+        model = reference = Morse(mu=mu)
+        return model, reference, draw(j_values(min(1e3, 2e4 * mu * mu)))
+    # below u = 0.01, b = 2 + 1/u^2 passes 1e4 and lgamma(b + n) - lgamma(b)
+    # in log_rho_closed starts to lose the digits the mass check needs
+    u = draw(strategies.one_of(strategies.just(0.0), strategies.floats(0.01, 2.0)))
+    reference = QuasiHarmonic(upsilon=u)
+    model = reference if kind == "quasiharmonic" else MathewsLakshmanan(lambda_tilde=-2.0 * u * u)
+    return model, reference, draw(j_values(1e3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model_and_j())
+def test_window_is_normalised_and_drops_under_1e_15(case):
+    model, reference, J = case
+    state = build_state(model, J)
+    p = state.weights
+    assert abs(math.fsum(p) - 1.0) <= 1e-12
+    assert abs(math.fsum(p * state.e_values) - J) <= 1e-12 * J
+    if J == 0.0:
+        return
+    lo, hi = int(state.n[0]), int(state.n[-1])
+    outside = [*range(lo), *range(hi + 1, hi + 201 + (hi - lo))]
+    dropped = math.fsum(
+        math.exp(n * math.log(J) - log_rho_closed(reference, n) - state.log_norm_sq) for n in outside
+    )
+    assert dropped <= 1e-15

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gkstates import (
@@ -12,8 +13,6 @@ from gkstates import (
     QuasiHarmonic,
     ShapeInvarianceChain,
     SpectrumRangeError,
-    e_n,
-    energy,
     si_energy,
     standard_chain,
 )
@@ -29,24 +28,38 @@ ALL_MODELS = [
 
 def test_e_n_direct_substitution():
     m = QuasiHarmonic(alpha=1.0, upsilon=0.2)
-    assert math.isclose(e_n(m, 5), 5 * (1 + 0.04 * 6), rel_tol=1e-15)  # 6.2
-    assert e_n(Morse(mu=1.0), 3) == 3.0
+    assert math.isclose(m.e_n(5), 5 * (1 + 0.04 * 6), rel_tol=1e-15)  # 6.2
+    assert Morse(mu=1.0).e_n(3) == 3.0
     for model in ALL_MODELS:
-        assert e_n(model, 0) == 0.0
+        assert model.e_n(0) == 0.0
 
 
 def test_energy_values():
-    assert energy(QuasiHarmonic(alpha=1.0, upsilon=0.1), 0) == 0.5
+    assert QuasiHarmonic(alpha=1.0, upsilon=0.1).energy(0) == 0.5
     # alpha=2, ups=0.5: 2[(2.5) + 0.25*6] = 8
-    assert math.isclose(energy(QuasiHarmonic(alpha=2.0, upsilon=0.5), 2), 8.0, rel_tol=1e-15)
+    assert math.isclose(QuasiHarmonic(alpha=2.0, upsilon=0.5).energy(2), 8.0, rel_tol=1e-15)
     # harmonic limit
-    assert math.isclose(energy(QuasiHarmonic(alpha=1.0, upsilon=0.0), 7), 7.5, rel_tol=1e-15)
+    assert math.isclose(QuasiHarmonic(alpha=1.0, upsilon=0.0).energy(7), 7.5, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_monotonicity(model):
     levels = [model.e_n(n) for n in range(200)]
     assert all(b > a for a, b in zip(levels, levels[1:]))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_levels_match_e_n(model):
+    n = np.arange(200)
+    assert model.levels(n).tolist() == [model.e_n(k) for k in range(200)]
+
+
+def test_levels_validate_the_range():
+    with pytest.raises(SpectrumRangeError):
+        QuasiHarmonic().levels(np.array([3, -1]))
+    ml = MathewsLakshmanan(alpha=1.0, lambda_tilde=0.1)
+    with pytest.raises(SpectrumRangeError):
+        ml.levels(np.arange(ml.n_max_valid + 2))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

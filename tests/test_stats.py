@@ -122,6 +122,8 @@ def test_solve_j_round_trip():
         (QuasiHarmonic(upsilon=0.1), 5.0),
         (QuasiHarmonic(upsilon=1.0), 20.0),
         (Morse(mu=1.0), 12.0),
+        (Morse(mu=0.5), 500.0),  # brackets J = 1252.5 and 2502.5: windows far from n = 0
+        (Morse(mu=0.5), 1000.0),
     ]:
         J = solve_j(model, n0)
         assert abs(distribution(model, J).mean - n0) <= 1e-8

@@ -166,6 +166,16 @@ def test_coherent_density_vacuum_and_norm():
         assert abs(_simpson(dens_t, grid.h) - 1.0) <= 1e-6
 
 
+def test_coherent_density_pairs_each_coefficient_with_its_level():
+    # the window of this state starts at n = 1, not 0
+    model = QuasiHarmonic(alpha=1.0, upsilon=1.0)
+    grid = default_grid(model)
+    st = build_state(model, 1000.0)
+    assert st.n[0] > 0
+    ref = sum(c * eigenfunction(int(n), model, grid) for n, c in zip(st.n, st.coefficients(0.3)))
+    assert np.max(np.abs(coherent_density(st, grid, time=0.3) - np.abs(ref) ** 2)) < 1e-12
+
+
 def test_coherent_density_full_revival():
     model = QuasiHarmonic(alpha=1.0, upsilon=0.1)
     grid = default_grid(model)
