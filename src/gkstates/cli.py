@@ -9,8 +9,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -51,17 +49,30 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _emit_rows(args, header: list[str], rows: list[tuple]) -> None:
+def _emit_rows(args, header: list[str], columns: list) -> None:
+    """Write a table given as equal-length columns (arrays or sequences);
+    no columns at all writes the header alone."""
+    arrays = [np.asarray(col) for col in columns]
+    cells = [a.tolist() for a in arrays]
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
+        payload = [dict(zip(header, row)) for row in zip(*cells)]
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _write_text(args.out, buf.getvalue())
+    # one %-template per table; '%.17g' and '%d' print what _fmt prints for
+    # floats and ints, and any other column (None, bools, text) goes
+    # through _fmt cell by cell. No cell can hold a comma or a quote.
+    specs = []
+    for i, a in enumerate(arrays):
+        if a.dtype.kind == "f":
+            specs.append("%.17g")
+        elif a.dtype.kind in "iu":
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            cells[i] = [_fmt(v) for v in cells[i]]
+    template = ",".join(specs) + "\n"
+    body = "".join([template % row for row in zip(*cells)])
+    _write_text(args.out, ",".join(header) + "\n" + body)
 
 
 def _emit_summary(args, payload: dict) -> None:
@@ -75,7 +86,7 @@ def _emit_summary(args, payload: dict) -> None:
                 flat[f"{key}_{k2}"] = v2
         else:
             flat[key] = value
-    _emit_rows(args, list(flat.keys()), [tuple(flat.values())])
+    _emit_rows(args, list(flat.keys()), [[v] for v in flat.values()])
 
 
 def _build_model(args):
@@ -115,15 +126,15 @@ def _tau_pair(t: np.ndarray, t_cl: float, t_rev: float | None):
 
 def _cmd_spectrum(args) -> None:
     model = _build_model(args)
-    rows = [(n, model.e_n(n), model.energy(n)) for n in range(args.n_max + 1)]
-    _emit_rows(args, ["n", "e_n", "energy"], rows)
+    n = np.arange(args.n_max + 1)
+    e = model.levels(n)
+    _emit_rows(args, ["n", "e_n", "energy"], [n, e, model.ground_energy + model.omega * e])
 
 
 def _cmd_dist(args) -> None:
     model = _build_model(args)
     dist = distribution(model, _resolve_j(args, model))
-    rows = [(n, p) for n, p in enumerate(dist.probs)]
-    _emit_rows(args, ["n", "P_n"], rows)
+    _emit_rows(args, ["n", "P_n"], [np.arange(len(dist.probs)), dist.probs])
 
 
 def _cmd_moments(args) -> None:
@@ -136,7 +147,7 @@ def _cmd_moments(args) -> None:
         for J in np.linspace(start, stop, int(count)):
             d = distribution(model, float(J))
             rows.append((float(J), d.mean, d.variance, d.mandel_q))
-        _emit_rows(args, ["J", "mean", "variance", "mandel_q"], rows)
+        _emit_rows(args, ["J", "mean", "variance", "mandel_q"], list(zip(*rows)))
         return
     J = _resolve_j(args, model)
     dist = distribution(model, J)
@@ -178,10 +189,8 @@ def _cmd_autocorr(args) -> None:
     )
     series = autocorrelation(state, grid)
     tau, tau_cl = _tau_pair(series.times, series.t_classical, series.t_revival)
-    rows = list(
-        zip(series.times, tau, tau_cl, series.values.real, series.values.imag, series.abs2)
-    )
-    _emit_rows(args, ["t", "tau", "tau_cl", "re_A", "im_A", "abs2_A"], rows)
+    columns = [series.times, tau, tau_cl, series.values.real, series.values.imag, series.abs2]
+    _emit_rows(args, ["t", "tau", "tau_cl", "re_A", "im_A", "abs2_A"], columns)
 
 
 def _cmd_revivals(args) -> None:
@@ -198,7 +207,7 @@ def _cmd_revivals(args) -> None:
     events = detect_revivals(series, args.threshold, args.q_max)
     denom = series.t_revival if series.t_revival is not None else series.t_classical
     rows = [(ev.time, ev.time / denom, ev.amplitude_sq, ev.p, ev.q) for ev in events]
-    _emit_rows(args, ["time", "tau", "abs2", "p", "q"], rows)
+    _emit_rows(args, ["time", "tau", "abs2", "p", "q"], list(zip(*rows)))
 
 
 def _grid_from_args(args, model) -> GridSpec:
@@ -209,7 +218,7 @@ def _cmd_eigenfunction(args) -> None:
     model = _build_model(args)
     grid = _grid_from_args(args, model)
     values = eigenfunction(args.n, model, grid)
-    _emit_rows(args, ["rho", "value"], list(zip(grid.points, values)))
+    _emit_rows(args, ["rho", "value"], [grid.points, values])
 
 
 def _cmd_density(args) -> None:
@@ -217,7 +226,7 @@ def _cmd_density(args) -> None:
     state = build_state(model, _resolve_j(args, model), args.gamma)
     grid = _grid_from_args(args, model)
     values = coherent_density(state, grid, time=args.time)
-    _emit_rows(args, ["rho", "value"], list(zip(grid.points, values)))
+    _emit_rows(args, ["rho", "value"], [grid.points, values])
 
 
 def _cmd_verify_measure(args) -> None:
@@ -238,7 +247,7 @@ def _cmd_verify_measure(args) -> None:
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
         return
     rows = [(r.n, r.lhs, r.rhs, r.rel_err, r.converged) for r in moments]
-    _emit_rows(args, ["n", "lhs", "rhs", "rel_err", "converged"], rows)
+    _emit_rows(args, ["n", "lhs", "rhs", "rel_err", "converged"], list(zip(*rows)))
 
 
 def _cmd_si_chain(args) -> None:
@@ -249,7 +258,7 @@ def _cmd_si_chain(args) -> None:
         e_chain = si_energy(chain, n)
         e_model = model.energy(n)
         rows.append((n, e_chain, e_model, abs(e_chain - e_model)))
-    _emit_rows(args, ["n", "si_energy", "model_energy", "abs_diff"], rows)
+    _emit_rows(args, ["n", "si_energy", "model_energy", "abs_diff"], list(zip(*rows)))
 
 
 # --------------------------------------------------------------------------

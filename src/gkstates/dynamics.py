@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -100,8 +99,28 @@ def default_time_grid(
     return np.arange(n_samples) * dt
 
 
+def _uniform_step(t: np.ndarray) -> float | None:
+    """The step dt when t_i = t_0 + i dt holds to float rounding, else None.
+
+    The tolerance, 8 eps of the largest |t|, admits grids built by
+    ``np.arange(m) * dt``, ``np.linspace`` or a shift of either, and moves each
+    phase by no more than its own rounding.
+    """
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    deviation = np.max(np.abs(t - (t[0] + np.arange(len(t)) * dt)))
+    scale = max(abs(t[0]), abs(t[-1]))
+    return float(dt) if deviation <= 8.0 * np.finfo(float).eps * scale else None
+
+
 def autocorrelation(state: CoherentState, t_grid: np.ndarray | None = None) -> TimeSeries:
-    """Evaluate A(t) over a grid (the default grid when none is given)."""
+    """Evaluate A(t) over a grid (the default grid when none is given).
+
+    On a uniform grid the M samples are cut into K blocks of B = ceil(sqrt(M)):
+    A[kB + b] = sum_n (P_n exp(i w e_n t_kB)) exp(i w e_n b dt), one matrix
+    product over about 2 sqrt(M) N phase factors. Each block start t_kB is a
+    grid value, so rounding does not accumulate from block to block. Other
+    grids take the direct sum in chunks of 8192 samples.
+    """
     n0 = state.mean_n()
     if t_grid is None:
         t_grid = default_time_grid(state.model, n0)
@@ -110,11 +129,18 @@ def autocorrelation(state: CoherentState, t_grid: np.ndarray | None = None) -> T
         raise DomainError("time grid must be a 1-d array with at least 2 samples")
     w = state.weights
     phases = state.e_values * state.model.omega
-    values = np.empty(len(t_grid), dtype=complex)
-    # chunked matmul keeps the (t, n) phase matrix bounded in memory
-    for lo in range(0, len(t_grid), 8192):
-        hi = min(lo + 8192, len(t_grid))
-        values[lo:hi] = np.exp(1j * np.outer(t_grid[lo:hi], phases)) @ w
+    dt = _uniform_step(t_grid)
+    if dt is not None:
+        block = math.isqrt(len(t_grid) - 1) + 1
+        starts = w * np.exp(1j * np.outer(t_grid[::block], phases))
+        steps = np.exp(1j * np.outer(np.arange(block) * dt, phases))
+        values = (starts @ steps.T).ravel()[: len(t_grid)]
+    else:
+        values = np.empty(len(t_grid), dtype=complex)
+        # chunked matmul keeps the (t, n) phase matrix bounded in memory
+        for lo in range(0, len(t_grid), 8192):
+            hi = min(lo + 8192, len(t_grid))
+            values[lo:hi] = np.exp(1j * np.outer(t_grid[lo:hi], phases)) @ w
     ts = timescales(state.model, n0)
     return TimeSeries(
         times=t_grid,
@@ -158,6 +184,11 @@ def detect_revivals(
         raise DomainError(f"threshold must be in (0, 1), got {threshold}")
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
+    if _uniform_step(series.times) is None:
+        raise DomainError(
+            "detect_revivals needs a uniform time grid; the sample times deviate "
+            "from t_0 + i dt by more than float rounding"
+        )
     dt = series.dt
     if dt > series.t_classical / 10.0:
         raise ResolutionError(
@@ -165,16 +196,18 @@ def detect_revivals(
             f"period {series.t_classical:g}"
         )
     a2 = series.abs2
+    if len(a2) < 7:
+        return []  # no sample lies 3 or more from both ends
     smooth = np.convolve(a2, np.full(5, 0.2), mode="same")
+    # local maxima of the smoothed series, leaving out the first/last two
+    # samples, which the zero padding contaminates; each is refined to the
+    # largest raw sample within 2 of it (the first one on ties)
+    mid = smooth[2:-2]
+    centres = np.flatnonzero((mid > smooth[1:-3]) & (mid >= smooth[3:-1])) + 2
+    cand = centres - 2 + np.argmax(a2[centres[:, None] + np.arange(-2, 3)], axis=1)
+    cand = cand[(a2[cand] >= threshold) & (cand > 2) & (cand < len(a2) - 3)]
     peaks: list[int] = []
-    # the first/last two smoothed samples are contaminated by zero padding
-    for i in range(2, len(smooth) - 2):
-        if not (smooth[i] > smooth[i - 1] and smooth[i] >= smooth[i + 1]):
-            continue
-        lo = max(0, i - 2)
-        j = lo + int(np.argmax(a2[lo : min(len(a2), i + 3)]))
-        if a2[j] < threshold or j <= 2 or j >= len(a2) - 3:
-            continue
+    for j in cand.tolist():
         # adjacent smoothed maxima refining into near-identical raw samples
         # are one physical peak; keep the stronger
         if peaks and j - peaks[-1] <= 3:
@@ -182,23 +215,35 @@ def detect_revivals(
                 peaks[-1] = j
             continue
         peaks.append(j)
-    events: list[RevivalEvent] = []
+    times = series.times[peaks]
+    p = np.zeros(len(peaks), dtype=int)
+    q = np.zeros(len(peaks), dtype=int)
     t_rev = series.t_revival
-    tol = max(2.0 * dt, series.t_classical / 3.0)
-    horizon = float(series.times[-1])
-    for j in peaks:
-        t_peak = float(series.times[j])
-        p = q = None
-        if t_rev is not None:
-            best = math.inf
-            for qq in range(1, q_max + 1):
-                for pp in range(1, int(math.ceil(horizon / t_rev * qq)) + 2):
-                    if gcd(pp, qq) != 1:
-                        continue
-                    d = abs(t_peak - pp / qq * t_rev)
-                    if d <= tol and d < best:
-                        best, p, q = d, pp, qq
-        events.append(RevivalEvent(time=t_peak, amplitude_sq=float(a2[j]), p=p, q=q))
+    if t_rev is not None:
+        # nearest coprime p/q within tol; q ascending, then p ascending, and a
+        # later fraction wins only when strictly nearer. One q at a time keeps
+        # the distance table at (peaks x p) however large q_max is.
+        tol = max(2.0 * dt, series.t_classical / 3.0)
+        horizon = float(series.times[-1])
+        best = np.full(len(peaks), math.inf)
+        rows = np.arange(len(peaks))
+        for qq in range(1, q_max + 1):
+            pp = np.arange(1, int(math.ceil(horizon / t_rev * qq)) + 2)
+            pp = pp[np.gcd(pp, qq) == 1]
+            if not pp.size:
+                continue
+            d = np.abs(times[:, None] - pp / qq * t_rev)
+            d[d > tol] = math.inf
+            k = np.argmin(d, axis=1)
+            dk = d[rows, k]
+            nearer = dk < best
+            best[nearer] = dk[nearer]
+            p[nearer] = pp[k[nearer]]
+            q[nearer] = qq
+    events = [
+        RevivalEvent(time=t, amplitude_sq=float(a2[j]), p=num or None, q=den or None)
+        for t, j, num, den in zip(times.tolist(), peaks, p.tolist(), q.tolist())
+    ]
     events.sort(key=lambda ev: ev.time)
     return events
 
