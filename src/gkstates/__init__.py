@@ -70,12 +70,10 @@ from .stats import (
 )
 from .wavefunctions import (
     GridSpec,
-    PolynomialRep,
     coherent_density,
     default_grid,
     eigenfunction,
     hamiltonian_residual,
-    modified_hermite,
     residual_grid,
     weight_deformation,
 )

@@ -47,7 +47,8 @@ from gkstates import (
     variance_closed_form,
     verify_measure_moments,
 )
-from gkstates.wavefunctions import _simpson, default_grid
+from gkstates.wavefunctions import default_grid
+from position_oracles import _simpson
 
 CALIBRATION = {
     0.1: [(5, 5.9), (10, 11.7), (15, 18.0), (20, 24.9)],

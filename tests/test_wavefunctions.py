@@ -1,6 +1,7 @@
 """Deformed Hermite polynomials, eigenfunctions and the operator residual."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from gkstates import (
     default_grid,
     eigenfunction,
     hamiltonian_residual,
-    modified_hermite,
     residual_grid,
+    solve_j,
     weight_deformation,
 )
-from gkstates.wavefunctions import _simpson
+from position_oracles import _simpson, gegenbauer_psi, modified_hermite, rodrigues_psi
 
 
 def rodrigues_oracle(n, mu):
@@ -37,16 +38,16 @@ def rodrigues_oracle(n, mu):
 
 
 def test_modified_hermite_low_orders():
-    assert list(modified_hermite(0, 0.3).coeffs) == [1.0]
+    assert list(modified_hermite(0, 0.3)) == [1.0]
     mu = 0.3
     p1 = modified_hermite(1, mu)
-    assert p1.coeffs[0] == 0.0
-    assert math.isclose(p1.coeffs[1], 2.0 * (1.0 + mu**2), rel_tol=1e-14)
+    assert p1[0] == 0.0
+    assert math.isclose(p1[1], 2.0 * (1.0 + mu**2), rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("n,mu", [(2, 0.5), (3, 0.25), (4, 1.0)])
 def test_modified_hermite_vs_rodrigues_oracle(n, mu):
-    got = modified_hermite(n, mu).coeffs
+    got = modified_hermite(n, mu)
     want = rodrigues_oracle(n, mu)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
@@ -54,16 +55,15 @@ def test_modified_hermite_vs_rodrigues_oracle(n, mu):
 
 def test_modified_hermite_small_mu_limit():
     # H_3 = 8 x^3 - 12 x
-    got = modified_hermite(3, 1e-4).coeffs
+    got = modified_hermite(3, 1e-4)
     assert abs(got[1] + 12.0) <= 1e-3 * 12.0
     assert abs(got[3] - 8.0) <= 1e-3 * 8.0
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_modified_hermite_parity_and_degree(n):
-    p = modified_hermite(n, 0.4)
-    assert p.degree == n
-    coeffs = np.asarray(p.coeffs)
+    coeffs = modified_hermite(n, 0.4)
+    assert len(coeffs) == n + 1
     assert np.all(coeffs[(n % 2) ^ 1 :: 2] == 0.0)  # exact parity
     assert coeffs[n] != 0.0
 
@@ -99,6 +99,26 @@ def test_orthonormality(ups):
             assert abs(inner - (1.0 if i == j else 0.0)) < 1e-8
 
 
+@pytest.mark.parametrize("ups", [0.1, 0.2, 0.5])
+def test_eigenfunction_matches_rodrigues_oracle(ups):
+    model = QuasiHarmonic(alpha=1.0, upsilon=ups)
+    m = weight_deformation(model)
+    grid = default_grid(model)
+    for n in range(13):
+        ref = rodrigues_psi(n, m, grid.points)
+        assert np.max(np.abs(eigenfunction(n, model, grid) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("ups", [0.1, 0.2, 0.5])
+def test_eigenfunction_matches_gegenbauer_closed_form(ups):
+    model = QuasiHarmonic(alpha=1.0, upsilon=ups)
+    m = weight_deformation(model)
+    grid = default_grid(model)
+    for n in range(41):
+        ref = gegenbauer_psi(n, m, grid.points)
+        assert np.max(np.abs(eigenfunction(n, model, grid) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_small_mu_matches_constant_mass_oscillator():
     # upsilon tiny: psi_n -> Hermite_n(rho) exp(-rho^2/2) / sqrt(2^n n! sqrt(pi))
     model = QuasiHarmonic(alpha=1.0, upsilon=5e-5)
@@ -113,7 +133,8 @@ def test_small_mu_matches_constant_mass_oscillator():
         assert np.max(np.abs(psi - ref)) < 1e-3
 
 
-@pytest.mark.parametrize("ups,n", [(0.1, 0), (0.1, 5), (0.2, 5), (0.5, 3), (0.5, 10)])
+# upsilon = 1: psi_n ~ t^(1/4) near +-1/m, where its slope is unbounded
+@pytest.mark.parametrize("ups,n", [(0.1, 0), (0.1, 5), (0.2, 5), (0.5, 3), (0.5, 10), (1.0, 10)])
 def test_hamiltonian_residual_small(ups, n):
     model = QuasiHarmonic(alpha=1.0, upsilon=ups)
     assert hamiltonian_residual(n, model) < 1e-6
@@ -127,9 +148,9 @@ def test_hamiltonian_residual_alpha_scaling():
     assert scaled / 2.5 == pytest.approx(base, rel=1e-3)
 
 
-def test_residual_second_order_convergence():
-    # coarse, truncation-dominated grids: halving h divides the defect by ~4
-    model = QuasiHarmonic(alpha=1.0, upsilon=0.2)
+def test_residual_fourth_order_convergence():
+    # coarse, truncation-dominated grids: halving h divides the defect by ~16
+    model = QuasiHarmonic(alpha=1.0, upsilon=0.1)
     m = weight_deformation(model)
     hw = 1.0 / m
 
@@ -137,9 +158,17 @@ def test_residual_second_order_convergence():
         margin = 1e-4 * hw
         return GridSpec(points=np.linspace(-hw + margin, hw - margin, npts), margin=margin)
 
-    r_coarse = hamiltonian_residual(3, model, grid_of(2001))
-    r_fine = hamiltonian_residual(3, model, grid_of(4001))
-    assert r_coarse / r_fine == pytest.approx(4.0, rel=0.05)
+    r_coarse = hamiltonian_residual(10, model, grid_of(2001))
+    r_fine = hamiltonian_residual(10, model, grid_of(4001))
+    assert r_coarse / r_fine == pytest.approx(16.0, rel=0.05)
+
+
+def test_residual_is_float64_and_platform_independent():
+    model = QuasiHarmonic(alpha=1.0, upsilon=0.2)
+    assert residual_grid(model).points.dtype == np.float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hamiltonian_residual(3, model) < 1e-6
 
 
 def test_residual_grid_guards():
@@ -164,6 +193,35 @@ def test_coherent_density_vacuum_and_norm():
     for t in (0.0, 0.37, 11.0):
         dens_t = coherent_density(st, grid, time=t)
         assert abs(_simpson(dens_t, grid.h) - 1.0) <= 1e-6
+
+
+# States past the range of monomial coefficients: components up to n = 470.
+DENSITY_STATES = [(0.1, 40), (0.1, 60), (0.2, 60), (0.1, 200), (0.01, 300)]
+
+
+@pytest.mark.parametrize("ups,n0", DENSITY_STATES)
+def test_coherent_density_integrates_to_one(ups, n0):
+    model = QuasiHarmonic(alpha=1.0, upsilon=ups)
+    grid = default_grid(model)
+    st = build_state(model, solve_j(model, n0))
+    for t in (0.0, 11.0):
+        assert abs(_simpson(coherent_density(st, grid, time=t), grid.h) - 1.0) <= 1e-8
+
+
+# gegenbauer_psi overflows at upsilon = 0.01, so (0.01, 300) is checked by
+# its integral above only.
+@pytest.mark.parametrize("ups,n0", DENSITY_STATES[:4])
+def test_coherent_density_matches_oracle_series(ups, n0):
+    model = QuasiHarmonic(alpha=1.0, upsilon=ups)
+    m = weight_deformation(model)
+    grid = default_grid(model)
+    st = build_state(model, solve_j(model, n0))
+    psi = np.array(
+        [rodrigues_psi(n, m, grid.points) if n <= 12 else gegenbauer_psi(n, m, grid.points) for n in st.n]
+    )
+    for t in (0.0, 11.0):
+        ref = np.abs(st.coefficients(t) @ psi) ** 2
+        assert np.max(np.abs(coherent_density(st, grid, time=t) - ref)) <= 1e-10 * np.max(ref)
 
 
 def test_coherent_density_pairs_each_coefficient_with_its_level():
