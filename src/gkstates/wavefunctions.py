@@ -96,12 +96,16 @@ def residual_grid(model: SpectrumModel, h_target: float = 5e-4) -> GridSpec:
     return GridSpec(points=np.linspace(-hw + margin, hw - margin, n_points), margin=margin)
 
 
-def _weight_power(model: QuasiHarmonic, rho: np.ndarray) -> np.ndarray:
+def _log_weight_root(model: QuasiHarmonic, rho: np.ndarray) -> np.ndarray:
+    """ln (1-(m rho)^2)^(1/(2 m^2)), the log of the weight factor of psi_n."""
     m = weight_deformation(model)
     arg = -((m * rho) ** 2)
     if np.any(arg <= -1.0):
         raise GridError("grid touches or crosses the singular points rho = +-1/m")
-    return np.exp(np.log1p(arg) / (2.0 * m**2))
+    return np.log1p(arg) / (2.0 * m**2)
+
+
+_RESCALE_AT = 1e100
 
 
 def _psi_sum(model: QuasiHarmonic, rho: np.ndarray, coefficients, n_lo: int = 0) -> np.ndarray:
@@ -111,27 +115,38 @@ def _psi_sum(model: QuasiHarmonic, rho: np.ndarray, coefficients, n_lo: int = 0)
     w = (1 - x^2)^(lam - 1/2) and q_n are the orthonormal Gegenbauer
     polynomials: q_0 = 1/sqrt(h_0), h_0 = sqrt(pi) Gamma(lam+1/2)/Gamma(lam+1),
     and x q_n = b_{n+1} q_{n+1} + b_n q_{n-1} with
-    b_n^2 = n (n+2 lam-1) / (4 (n+lam) (n+lam-1)).  The product stays bounded
-    at any n, where the polynomial and the weight alone would overflow and
-    underflow.
+    b_n^2 = n (n+2 lam-1) / (4 (n+lam) (n+lam-1)).  Near the turning point of
+    a high order the weight underflows float64 while q_n overflows it, so the
+    rows and the sum run in scaled form, psi_n = exp(log_scale) * row_n: the
+    rows start at 1 with log_scale = ln psi_0, and once a row passes
+    _RESCALE_AT its size is folded into log_scale point by point.  A value
+    lost to underflow is then below _RESCALE_AT * 1e-308 = 1e-208.
     """
     m = weight_deformation(model)
     lam = 1.0 / m**2 + 0.5
     x = m * rho
     log_h0 = 0.5 * math.log(math.pi) + math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0)
-    psi = _weight_power(model, rho) * math.exp(0.5 * (math.log(m) - log_h0))
-    prev = np.zeros_like(psi)
+    log_scale = _log_weight_root(model, rho) + 0.5 * (math.log(m) - log_h0)
+    row = np.ones_like(x)
+    prev = np.zeros_like(x)
+    size = np.empty_like(x)
     coefficients = np.asarray(coefficients)
-    acc = np.zeros(len(psi), dtype=np.result_type(psi, coefficients))
+    acc = np.zeros(len(x), dtype=np.result_type(x, coefficients))
     b = 0.0
     for n in range(n_lo + len(coefficients)):
         if n:
             b_next = math.sqrt(n * (n + 2.0 * lam - 1.0) / (4.0 * (n + lam) * (n + lam - 1.0)))
-            prev, psi = psi, (x * psi - b * prev) / b_next
+            prev, row = row, (x * row - b * prev) / b_next
             b = b_next
+            if np.abs(row, out=size).max() > _RESCALE_AT:
+                np.maximum(np.maximum(size, np.abs(prev)), 1.0, out=size)
+                row /= size
+                prev /= size
+                acc /= size
+                log_scale += np.log(size)
         if n >= n_lo:
-            acc += coefficients[n - n_lo] * psi
-    return acc
+            acc += coefficients[n - n_lo] * row
+    return acc * np.exp(log_scale)
 
 
 def eigenfunction(n: int, model: SpectrumModel, grid: GridSpec | None = None) -> np.ndarray:

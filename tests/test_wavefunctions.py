@@ -119,6 +119,16 @@ def test_eigenfunction_matches_gegenbauer_closed_form(ups):
         assert np.max(np.abs(eigenfunction(n, model, grid) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+# Near the turning point of these orders psi_0 underflows float64 (about
+# e^-(n+1/2)) while the polynomial overflows it, so the rows must run scaled.
+@pytest.mark.parametrize("n", [800, 1000])
+def test_high_order_eigenfunction_is_normalised_where_the_weight_underflows(n):
+    model = QuasiHarmonic(alpha=1.0, upsilon=0.01)
+    grid = default_grid(model, n_points=40001)
+    psi = eigenfunction(n, model, grid)
+    assert abs(_simpson(psi**2, grid.h) - 1.0) <= 1e-8
+
+
 def test_small_mu_matches_constant_mass_oscillator():
     # upsilon tiny: psi_n -> Hermite_n(rho) exp(-rho^2/2) / sqrt(2^n n! sqrt(pi))
     model = QuasiHarmonic(alpha=1.0, upsilon=5e-5)
@@ -195,8 +205,8 @@ def test_coherent_density_vacuum_and_norm():
         assert abs(_simpson(dens_t, grid.h) - 1.0) <= 1e-6
 
 
-# States past the range of monomial coefficients: components up to n = 470.
-DENSITY_STATES = [(0.1, 40), (0.1, 60), (0.2, 60), (0.1, 200), (0.01, 300)]
+# States past the range of monomial coefficients: components up to n = 1292.
+DENSITY_STATES = [(0.1, 40), (0.1, 60), (0.2, 60), (0.1, 200), (0.01, 300), (0.01, 1000)]
 
 
 @pytest.mark.parametrize("ups,n0", DENSITY_STATES)
@@ -208,8 +218,8 @@ def test_coherent_density_integrates_to_one(ups, n0):
         assert abs(_simpson(coherent_density(st, grid, time=t), grid.h) - 1.0) <= 1e-8
 
 
-# gegenbauer_psi overflows at upsilon = 0.01, so (0.01, 300) is checked by
-# its integral above only.
+# gegenbauer_psi overflows at upsilon = 0.01, so those states are checked by
+# their integrals above only.
 @pytest.mark.parametrize("ups,n0", DENSITY_STATES[:4])
 def test_coherent_density_matches_oracle_series(ups, n0):
     model = QuasiHarmonic(alpha=1.0, upsilon=ups)
