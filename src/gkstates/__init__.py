@@ -33,38 +33,30 @@ from .errors import (
     DomainError,
     GKStatesError,
     GridError,
-    InvalidChainError,
     ModelMismatchError,
     ResolutionError,
     SpectrumRangeError,
     TruncatedSpectrumError,
 )
 from .specfun import (
-    bessel_k,
     log_bessel_k,
     log_gamma,
     log_hyp0f1,
-    log_pochhammer,
 )
 from .spectrum import (
     MathewsLakshmanan,
     Morse,
     QuasiHarmonic,
-    ShapeInvarianceChain,
     SpectrumModel,
-    si_energy,
-    standard_chain,
 )
 from .stats import (
     MeasureMoment,
-    ReductionCheck,
     WeightingDistribution,
     distribution,
     mandel_q,
     mandel_q_closed_form,
     mean_closed_form,
     solve_j,
-    validate_bessel_reduction,
     variance_closed_form,
     verify_measure_moments,
 )

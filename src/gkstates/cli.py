@@ -19,13 +19,8 @@ from . import __version__
 from .coherent import build_state
 from .dynamics import autocorrelation, default_time_grid, detect_revivals, timescales
 from .errors import DomainError, GKStatesError
-from .spectrum import MathewsLakshmanan, Morse, QuasiHarmonic, standard_chain, si_energy
-from .stats import (
-    distribution,
-    solve_j,
-    validate_bessel_reduction,
-    verify_measure_moments,
-)
+from .spectrum import MathewsLakshmanan, Morse, QuasiHarmonic
+from .stats import distribution, solve_j, verify_measure_moments
 from .wavefunctions import GridSpec, coherent_density, default_grid, eigenfunction
 
 _MODEL_CHOICES = ("quasiharmonic", "morse", "mathews-lakshmanan")
@@ -231,34 +226,9 @@ def _cmd_density(args) -> None:
 
 def _cmd_verify_measure(args) -> None:
     model = _build_model(args)
-    checks = validate_bessel_reduction()
     moments = verify_measure_moments(model, n_max=args.n_max_moment, total_nodes=args.nodes)
-    if args.format == "json":
-        payload = {
-            "reduction_check": [
-                {"nu": c.nu, "x": c.x, "reduced": c.reduced, "series": c.series, "rel_err": c.rel_err}
-                for c in checks
-            ],
-            "moments": [
-                {"n": r.n, "lhs": r.lhs, "rhs": r.rhs, "rel_err": r.rel_err, "converged": r.converged}
-                for r in moments
-            ],
-        }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-        return
     rows = [(r.n, r.lhs, r.rhs, r.rel_err, r.converged) for r in moments]
     _emit_rows(args, ["n", "lhs", "rhs", "rel_err", "converged"], list(zip(*rows)))
-
-
-def _cmd_si_chain(args) -> None:
-    model = _build_model(args)
-    chain = standard_chain(model)
-    rows = []
-    for n in range(args.n_max + 1):
-        e_chain = si_energy(chain, n)
-        e_model = model.energy(n)
-        rows.append((n, e_chain, e_model, abs(e_chain - e_model)))
-    _emit_rows(args, ["n", "si_energy", "model_energy", "abs_diff"], list(zip(*rows)))
 
 
 # --------------------------------------------------------------------------
@@ -378,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=2000)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify_measure)
-
-    p = sub.add_parser("si-chain", help="shape-invariance chain vs model energies")
-    _add_model_flags(p)
-    p.add_argument("--n-max", type=int, default=10)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_si_chain)
 
     return parser
 

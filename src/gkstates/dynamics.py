@@ -86,16 +86,24 @@ def default_time_grid(
     horizon_revivals: float = 1.1,
     horizon_classical: float = 10.0,
 ) -> np.ndarray:
-    """Uniform grid: samples_per_tcl points per T_cl out to 1.1 T_rev
-    (or horizon_classical T_cl when no revival time exists)."""
+    """Uniform grid: samples_per_tcl points per T_cl out to horizon_revivals
+    T_rev (or horizon_classical T_cl when no revival time exists)."""
+    for name, value in (
+        ("samples_per_tcl", samples_per_tcl),
+        ("horizon_revivals", horizon_revivals),
+        ("horizon_classical", horizon_classical),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     ts = timescales(model, n0)
     dt = ts.t_classical / samples_per_tcl
-    horizon = (
-        horizon_revivals * ts.t_revival
-        if ts.t_revival is not None
-        else horizon_classical * ts.t_classical
-    )
+    if ts.t_revival is not None:
+        name, value, horizon = "horizon_revivals", horizon_revivals, horizon_revivals * ts.t_revival
+    else:
+        name, value, horizon = "horizon_classical", horizon_classical, horizon_classical * ts.t_classical
     n_samples = int(math.floor(horizon / dt)) + 1
+    if n_samples < 2:
+        raise DomainError(f"{name}={value} ends before the first time step, T_cl/{samples_per_tcl}")
     return np.arange(n_samples) * dt
 
 

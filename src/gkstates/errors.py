@@ -25,10 +25,6 @@ class TruncatedSpectrumError(DomainError):
     """Coherent-state construction requested on a finite (truncated) spectrum."""
 
 
-class InvalidChainError(DomainError):
-    """Shape-invariance chain produced a non-positive remainder."""
-
-
 class ModelMismatchError(GKStatesError, ValueError):
     """Two states built on different spectrum models were combined."""
 

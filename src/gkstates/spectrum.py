@@ -1,4 +1,4 @@
-"""Energy-spectrum models and the generic shape-invariance chain engine.
+"""Energy-spectrum models.
 
 Each model exposes the dimensionless levels e_n (e_0 = 0, strictly
 increasing over the valid range) together with the physical energies
@@ -10,20 +10,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidChainError, SpectrumRangeError, DomainError
+from .errors import SpectrumRangeError, DomainError
 
 __all__ = [
     "SpectrumModel",
     "QuasiHarmonic",
     "Morse",
     "MathewsLakshmanan",
-    "ShapeInvarianceChain",
-    "si_energy",
-    "standard_chain",
 ]
 
 
@@ -196,76 +192,3 @@ class MathewsLakshmanan(SpectrumModel):
         if order == 2:
             return -self.lambda_tilde
         return 0.0
-
-
-@dataclass(frozen=True)
-class ShapeInvarianceChain:
-    """Algebraic spectrum generator E_n = E_0 + sum_i R(alpha_i).
-
-    Parameters
-    ----------
-    remainder : callable
-        alpha -> R(alpha), the level spacing contributed at parameter alpha.
-    param_map : callable
-        alpha -> f(alpha), advancing the potential parameter along the chain.
-    alpha_1 : float
-        Initial parameter value.
-    ground_energy : float
-        E_0 added on top of the accumulated remainders.
-    """
-
-    remainder: Callable[[float], float]
-    param_map: Callable[[float], float]
-    alpha_1: float
-    ground_energy: float = 0.0
-
-
-def si_energy(chain: ShapeInvarianceChain, n: int) -> float:
-    """E_0 + sum_{i=1}^{n} R(alpha_i) with alpha_{i+1} = f(alpha_i)."""
-    if n < 0:
-        raise SpectrumRangeError(f"quantum number must be >= 0, got {n}")
-    total = chain.ground_energy
-    a = chain.alpha_1
-    for i in range(1, n + 1):
-        r = chain.remainder(a)
-        if not r > 0:
-            raise InvalidChainError(
-                f"remainder R(alpha_{i}={a}) = {r} is not positive; "
-                "chain does not generate an increasing spectrum"
-            )
-        total += r
-        a = chain.param_map(a)
-    return total
-
-
-def standard_chain(model: SpectrumModel) -> ShapeInvarianceChain:
-    """Chain whose accumulated energies reproduce a built-in model's E_n.
-
-    The parameter walks the level index (alpha_i = i) and the remainder is
-    the exact level spacing E_n - E_{n-1} of the model.
-    """
-    if isinstance(model, QuasiHarmonic):
-        a, u2 = model.alpha, model.upsilon**2
-        return ShapeInvarianceChain(
-            remainder=lambda i: a * (1.0 + 2.0 * u2 * i),
-            param_map=lambda i: i + 1.0,
-            alpha_1=1.0,
-            ground_energy=model.ground_energy,
-        )
-    if isinstance(model, Morse):
-        r = model.alpha * model.mu**2
-        return ShapeInvarianceChain(
-            remainder=lambda i: r,
-            param_map=lambda i: i + 1.0,
-            alpha_1=1.0,
-            ground_energy=model.ground_energy,
-        )
-    if isinstance(model, MathewsLakshmanan):
-        a, lt = model.alpha, model.lambda_tilde
-        return ShapeInvarianceChain(
-            remainder=lambda i: a * (1.0 - lt * i),
-            param_map=lambda i: i + 1.0,
-            alpha_1=1.0,
-            ground_energy=model.ground_energy,
-        )
-    raise DomainError(f"no standard chain for model {model!r}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .coherent import build_state, log_rho_sequence
 from .errors import DomainError
-from .specfun import bessel_k, log_bessel_k, log_gamma, log_hyp0f1
+from .specfun import log_bessel_k, log_gamma, log_hyp0f1
 from .spectrum import QuasiHarmonic, SpectrumModel
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "solve_j",
     "MeasureMoment",
     "verify_measure_moments",
-    "ReductionCheck",
-    "validate_bessel_reduction",
 ]
 
 
@@ -161,8 +159,8 @@ def solve_j(model: SpectrumModel, n0: float, tol: float = 1e-8) -> float:
 #     x = J/u^2,   nu = 1 + 1/u^2,
 #
 # and int_0^inf wtilde(J) J^n dJ must equal rho_n.  The Bessel reduction of
-# the underlying Meijer G kernel is validated separately against a
-# term-by-term residue-series evaluation (validate_bessel_reduction).
+# the underlying Meijer G kernel is checked in the test suite against its
+# term-by-term residue series.
 # ---------------------------------------------------------------------------
 
 
@@ -180,18 +178,14 @@ class MeasureMoment:
 def _log_wtilde(model: QuasiHarmonic, J: np.ndarray) -> np.ndarray:
     u = model.upsilon
     nu = 1.0 + 1.0 / u**2
-    lg = log_gamma(2.0 + 1.0 / u**2)
     x = J / u**2
-    out = np.empty_like(x)
-    for i, xv in enumerate(x):
-        out[i] = (
-            math.log(2.0)
-            + 0.5 * nu * math.log(xv)
-            + log_bessel_k(nu, 2.0 * math.sqrt(xv))
-            - 2.0 * math.log(u)
-            - lg
-        )
-    return out
+    return (
+        math.log(2.0)
+        + 0.5 * nu * np.log(x)
+        + log_bessel_k(nu, 2.0 * np.sqrt(x))
+        - 2.0 * math.log(u)
+        - log_gamma(2.0 + 1.0 / u**2)
+    )
 
 
 def _measure_cutoff(model: QuasiHarmonic, n_max: int) -> float:
@@ -210,17 +204,19 @@ def _measure_cutoff(model: QuasiHarmonic, n_max: int) -> float:
     return j_hi
 
 
-def _measure_nodes(model: QuasiHarmonic, n_max: int, total_nodes: int):
-    """Gauss-Legendre panel nodes on [0, J*] with wtilde evaluated once.
+# Nodes per Gauss-Legendre panel of the measure check.
+_PANEL_ORDER = 20
+
+
+def _measure_nodes(model: QuasiHarmonic, j_hi: float, total_nodes: int):
+    """Gauss-Legendre panel nodes on [0, j_hi] with wtilde evaluated once.
 
     Panel edges are graded quadratically towards J = 0: the integrand varies
     on the sqrt(J) scale (decay ~ exp(-2 sqrt(J)/u)), so uniform panels sized
     for the far tail would under-resolve the low moments.
     """
-    j_hi = _measure_cutoff(model, n_max)
-    order = 20
-    panels = max(1, total_nodes // order)
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    panels = total_nodes // _PANEL_ORDER
+    xs, ws = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     edges = j_hi * np.linspace(0.0, 1.0, panels + 1) ** 2
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -238,8 +234,14 @@ def verify_measure_moments(
         raise DomainError("measure check requires upsilon > 0")
     if not 0 <= n_max <= 20:
         raise DomainError(f"n_max must be in [0, 20], got {n_max}")
-    nodes, wts = _measure_nodes(m, n_max, total_nodes)
-    nodes_c, wts_c = _measure_nodes(m, n_max, max(200, total_nodes // 2))
+    if total_nodes < _PANEL_ORDER:
+        raise DomainError(
+            f"total_nodes must be at least {_PANEL_ORDER}, one {_PANEL_ORDER}-node "
+            f"Gauss-Legendre panel; got {total_nodes}"
+        )
+    j_hi = _measure_cutoff(m, n_max)
+    nodes, wts = _measure_nodes(m, j_hi, total_nodes)
+    nodes_c, wts_c = _measure_nodes(m, j_hi, max(200, total_nodes // 2))
     log_rho = log_rho_sequence(m, n_max)
     rows = []
     for n in range(n_max + 1):
@@ -249,62 +251,4 @@ def verify_measure_moments(
         rel = abs(lhs - rhs) / rhs
         converged = abs(lhs - coarse) <= 1e-8 * max(abs(lhs), 1e-300)
         rows.append(MeasureMoment(n=n, lhs=lhs, rhs=rhs, rel_err=rel, converged=converged))
-    return rows
-
-
-@dataclass(frozen=True)
-class ReductionCheck:
-    """Comparison of the Bessel-reduced kernel with its residue-series value."""
-
-    nu: float
-    x: float
-    reduced: float
-    series: float
-    rel_err: float
-
-
-def _g_kernel_series(nu: float, x: float) -> float:
-    """G^{2,0}_{0,2}(x | -; 0, nu) summed residue by residue (nu non-integer).
-
-    Equals (pi/sin(pi nu)) [ sum_k x^k/(k! Gamma(k+1-nu))
-                             - x^nu sum_k x^k/(k! Gamma(k+1+nu)) ].
-    """
-    if abs(nu - round(nu)) < 1e-9:
-        raise DomainError("residue series requires non-integer nu")
-
-    def side(offset: float) -> float:
-        total = 0.0
-        term_ln = 0.0  # ln of x^k/k!
-        for k in range(0, 400):
-            g = math.gamma(k + 1.0 + offset)
-            contrib = math.exp(term_ln) / g
-            total += contrib
-            if k > 2 and abs(contrib) < 1e-20 * max(1e-300, abs(total)):
-                break
-            term_ln += math.log(x) - math.log(k + 1.0)
-        return total
-
-    s1 = side(-nu)
-    s2 = side(+nu)
-    return math.pi / math.sin(math.pi * nu) * (s1 - x**nu * s2)
-
-
-_DEFAULT_REDUCTION_POINTS = ((5.5, 4.0), (2.25, 9.0), (10.5, 6.25))
-
-
-def validate_bessel_reduction(
-    points: tuple[tuple[float, float], ...] = _DEFAULT_REDUCTION_POINTS,
-) -> list[ReductionCheck]:
-    """Check G^{2,0}_{0,2}(x | -; 0, nu) = 2 x^(nu/2) K_nu(2 sqrt(x)) pointwise.
-
-    The left side is evaluated by its Mellin-Barnes residue series, the right
-    side through the quadrature-based K_nu; agreement at a few points
-    certifies the reduction used by the measure check.
-    """
-    rows = []
-    for nu, x in points:
-        series = _g_kernel_series(nu, x)
-        reduced = 2.0 * x ** (0.5 * nu) * bessel_k(nu, 2.0 * math.sqrt(x))
-        rel = abs(series - reduced) / max(abs(series), 1e-300)
-        rows.append(ReductionCheck(nu=nu, x=x, reduced=reduced, series=series, rel_err=rel))
     return rows

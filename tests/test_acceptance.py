@@ -43,11 +43,11 @@ from gkstates import (
     mandel_q_closed_form,
     mean_closed_form,
     solve_j,
-    validate_bessel_reduction,
     variance_closed_form,
     verify_measure_moments,
 )
 from gkstates.wavefunctions import default_grid
+from measure_oracles import validate_bessel_reduction
 from position_oracles import _simpson
 
 CALIBRATION = {

@@ -18,12 +18,17 @@ from gkstates import (
     QuasiHarmonic,
     SpectrumModel,
     TruncatedSpectrumError,
+    autocorrelation,
     build_state,
     continuity_gap,
+    distribution,
     log_normalization_sq,
     log_rho_closed,
     log_rho_sequence,
+    mandel_q_closed_form,
+    mean_closed_form,
     overlap,
+    variance_closed_form,
 )
 
 
@@ -301,3 +306,70 @@ def test_window_is_normalised_and_drops_under_1e_15(case):
         math.exp(n * math.log(J) - log_rho_closed(reference, n) - state.log_norm_sq) for n in outside
     )
     assert dropped <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The Gazeau-Klauder axioms as properties over (model, J, gamma, t).
+
+GAMMAS = strategies.floats(-math.pi, math.pi)
+AXIOM_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@AXIOM_SETTINGS
+@given(model_and_j(), GAMMAS, strategies.floats(0.01, 1.0))
+def test_evolution_shifts_gamma(case, gamma, t_max):
+    # temporal stability: exp(-iHt)|J, gamma> = |J, gamma + omega t>, so the
+    # blocked autocorrelation is the overlap with the shifted state
+    model, _, J = case
+    state = build_state(model, J, gamma)
+    t = np.linspace(0.0, t_max, 9)
+    shifted = [overlap(state, build_state(model, J, gamma + model.omega * tk)) for tk in t]
+    assert np.max(np.abs(autocorrelation(state, t).values - shifted)) <= 1e-12
+
+
+@AXIOM_SETTINGS
+@given(model_and_j(), GAMMAS, strategies.floats(0.1, 100.0))
+def test_autocorrelation_starts_at_one_inside_the_unit_disc(case, gamma, t_max):
+    model, _, J = case
+    values = autocorrelation(build_state(model, J, gamma), np.linspace(0.0, t_max, 257)).values
+    assert abs(abs(values[0]) - 1.0) <= 1e-12
+    assert np.max(np.abs(values)) <= 1.0 + 1e-12
+
+
+@AXIOM_SETTINGS
+@given(model_and_j(), GAMMAS, strategies.floats(1e-4, 1e-1))
+def test_continuity_gap_closes_as_delta_squared(case, gamma, s):
+    # gap = sum_n P_n 2 (1 - cos(delta e_n)) lies between
+    # delta^2 <e^2> - delta^4 <e^4> / 12 and delta^2 <e^2>
+    model, _, J = case
+    state = build_state(model, J, gamma)
+    e2 = math.fsum(state.weights * state.e_values**2)
+    e4 = math.fsum(state.weights * state.e_values**4)
+    if e2 == 0.0:
+        assert abs(continuity_gap(state, build_state(model, J, gamma + s))) <= 1e-12
+        return
+    near = build_state(model, J, gamma + s / math.sqrt(e2))
+    delta = near.gamma - gamma  # the shift the state really carries
+    gap = continuity_gap(state, near)
+    upper = delta * delta * e2
+    assert upper - upper * upper * (e4 / e2 / e2) / 12.0 - 1e-11 <= gap <= upper + 1e-11
+
+
+@AXIOM_SETTINGS
+@given(model_and_j())
+def test_series_moments_match_their_closed_forms(case):
+    model, reference, J = case
+    d = distribution(model, J)
+    if isinstance(reference, Morse):  # Poisson in n
+        mean = variance = J / reference.mu**2
+        q = 0.0
+    else:
+        mean = mean_closed_form(reference, J)
+        variance = variance_closed_form(reference, J)
+        q = mandel_q_closed_form(reference, J)
+    # the closed-form variance and Q are differences of terms of size <n>^2
+    # and <n>, and each term carries the ~1e-12 rounding of its 0F1 log ratio
+    assert abs(d.mean - mean) <= 1e-10 * max(1.0, mean)
+    assert abs(d.variance - variance) <= 1e-9 * max(1.0, variance) + 1e-11 * mean**2
+    assert abs(d.mandel_q - q) <= 1e-9 * max(1.0, abs(q)) + 1e-11 * mean
+

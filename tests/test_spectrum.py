@@ -1,4 +1,4 @@
-"""Spectrum models and the shape-invariance chain engine."""
+"""Spectrum models."""
 
 import math
 
@@ -7,14 +7,10 @@ import pytest
 
 from gkstates import (
     DomainError,
-    InvalidChainError,
     MathewsLakshmanan,
     Morse,
     QuasiHarmonic,
-    ShapeInvarianceChain,
     SpectrumRangeError,
-    si_energy,
-    standard_chain,
 )
 
 ALL_MODELS = [
@@ -106,62 +102,3 @@ def test_parameter_validation():
         QuasiHarmonic(upsilon=2.5)
     with pytest.warns(UserWarning):
         Morse(mu=5.0)
-
-
-def test_si_energy_harmonic_ladder():
-    omega = 0.7
-    chain = ShapeInvarianceChain(
-        remainder=lambda a: omega, param_map=lambda a: a, alpha_1=1.0, ground_energy=omega / 2
-    )
-    assert math.isclose(si_energy(chain, 4), omega / 2 + 4 * omega, rel_tol=1e-15)
-    assert si_energy(chain, 0) == omega / 2
-
-
-@pytest.mark.parametrize("ups", [0.1, 0.33, 1.0])
-def test_si_chain_reproduces_quasiharmonic(ups):
-    # dimensionless chain: R(a) = 1 + 2 ups^2 a, f(a) = a + 1, a_1 = 1
-    chain = ShapeInvarianceChain(
-        remainder=lambda a: 1.0 + 2.0 * ups**2 * a,
-        param_map=lambda a: a + 1.0,
-        alpha_1=1.0,
-        ground_energy=0.0,
-    )
-    qh = QuasiHarmonic(alpha=1.0, upsilon=ups)
-    for n in range(101):
-        got = si_energy(chain, n)
-        want = qh.e_n(n)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_si_chain_morse():
-    mu = 1.7
-    chain = ShapeInvarianceChain(
-        remainder=lambda a: mu**2, param_map=lambda a: a + 1.0, alpha_1=1.0
-    )
-    assert math.isclose(si_energy(chain, 6), 6 * mu**2, rel_tol=1e-14)
-
-
-def test_si_chain_rejects_nonincreasing():
-    chain = ShapeInvarianceChain(
-        remainder=lambda a: 1.0 - a, param_map=lambda a: a + 1.0, alpha_1=1.0
-    )
-    with pytest.raises(InvalidChainError):
-        si_energy(chain, 2)  # R(alpha_1) = 0 already invalid
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        QuasiHarmonic(alpha=1.3, upsilon=0.25),
-        Morse(mu=2.0, alpha=0.5),
-        MathewsLakshmanan(alpha=1.0, lambda_tilde=-0.1),
-        MathewsLakshmanan(alpha=2.0, lambda_tilde=0.05),
-    ],
-)
-def test_standard_chain_matches_model_energies(model):
-    chain = standard_chain(model)
-    top = model.n_max_valid if model.n_max_valid is not None else 60
-    for n in range(top + 1):
-        got = si_energy(chain, n)
-        want = model.energy(n)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

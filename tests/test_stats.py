@@ -16,10 +16,10 @@ from gkstates import (
     mandel_q_closed_form,
     mean_closed_form,
     solve_j,
-    validate_bessel_reduction,
     variance_closed_form,
     verify_measure_moments,
 )
+from measure_oracles import validate_bessel_reduction
 
 UPS_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 J_GRID = np.geomspace(0.1, 500.0, 12)
@@ -182,3 +182,12 @@ def test_measure_moments_domain():
         verify_measure_moments(Morse(mu=1.0))
     with pytest.raises(DomainError):
         verify_measure_moments(QuasiHarmonic(upsilon=0.0))
+
+
+@pytest.mark.parametrize("nodes", [0, -40, 19])
+def test_measure_moments_need_one_panel(nodes):
+    with pytest.raises(DomainError, match=f"at least 20, one 20-node Gauss-Legendre panel; got {nodes}"):
+        verify_measure_moments(QuasiHarmonic(upsilon=0.5), total_nodes=nodes)
+    # one panel is enough to run
+    assert len(verify_measure_moments(QuasiHarmonic(upsilon=0.5), n_max=1, total_nodes=20)) == 2
+
