@@ -40,7 +40,6 @@ from .errors import (
 )
 from .specfun import (
     log_bessel_k,
-    log_gamma,
     log_hyp0f1,
 )
 from .spectrum import (

@@ -23,7 +23,12 @@ from .spectrum import MathewsLakshmanan, Morse, QuasiHarmonic
 from .stats import distribution, solve_j, verify_measure_moments
 from .wavefunctions import GridSpec, coherent_density, default_grid, eigenfunction
 
-_MODEL_CHOICES = ("quasiharmonic", "morse", "mathews-lakshmanan")
+# cli name -> (model class, its parameters in the order the summary lists them)
+_MODELS = {
+    "quasiharmonic": (QuasiHarmonic, ("alpha", "upsilon")),
+    "morse": (Morse, ("alpha", "mu")),
+    "mathews-lakshmanan": (MathewsLakshmanan, ("alpha", "lambda_tilde")),
+}
 
 
 def _fmt(value) -> str:
@@ -85,23 +90,8 @@ def _emit_summary(args, payload: dict) -> None:
 
 
 def _build_model(args):
-    if args.model == "quasiharmonic":
-        return QuasiHarmonic(alpha=args.alpha, upsilon=args.upsilon)
-    if args.model == "morse":
-        return Morse(mu=args.mu, alpha=args.alpha)
-    return MathewsLakshmanan(alpha=args.alpha, lambda_tilde=args.lambda_tilde)
-
-
-def _model_dict(model) -> dict:
-    if isinstance(model, QuasiHarmonic):
-        return {"kind": "quasiharmonic", "alpha": model.alpha, "upsilon": model.upsilon}
-    if isinstance(model, Morse):
-        return {"kind": "morse", "alpha": model.alpha, "mu": model.mu}
-    return {
-        "kind": "mathews-lakshmanan",
-        "alpha": model.alpha,
-        "lambda_tilde": model.lambda_tilde,
-    }
+    cls, params = _MODELS[args.model]
+    return cls(**{name: getattr(args, name) for name in params})
 
 
 def _resolve_j(args, model) -> float:
@@ -110,10 +100,15 @@ def _resolve_j(args, model) -> float:
     return args.J
 
 
-def _tau_pair(t: np.ndarray, t_cl: float, t_rev: float | None):
-    tau_cl = t / t_cl
-    tau = t / t_rev if t_rev is not None else tau_cl
-    return tau, tau_cl
+def _series(args):
+    """The autocorrelation of the state the flags describe, on its default
+    time grid, with the unit of tau: T_rev when the spectrum has one, else T_cl."""
+    model = _build_model(args)
+    state = build_state(model, _resolve_j(args, model), args.gamma)
+    grid = default_time_grid(model, state.mean_n(), samples_per_tcl=args.samples_per_tcl,
+                             horizon_revivals=args.tmax_rev, horizon_classical=args.tmax_cl)
+    series = autocorrelation(state, grid)
+    return series, series.t_revival if series.t_revival is not None else series.t_classical
 
 
 # --------------------------------------------------------------------------
@@ -136,8 +131,9 @@ def _cmd_moments(args) -> None:
     model = _build_model(args)
     if args.j_grid is not None:
         start, stop, count = args.j_grid
-        if count < 2 or stop <= start or start < 0:
-            raise DomainError(f"bad --j-grid {args.j_grid}; need 0 <= start < stop, count >= 2")
+        if not (0 <= start < stop < math.inf and count.is_integer() and count >= 2):
+            raise DomainError(f"bad --j-grid {args.j_grid}; need finite 0 <= START < STOP "
+                              "and an integral COUNT >= 2")
         rows = []
         for J in np.linspace(start, stop, int(count)):
             d = distribution(model, float(J))
@@ -148,7 +144,7 @@ def _cmd_moments(args) -> None:
     dist = distribution(model, J)
     ts = timescales(model, dist.mean)
     payload = {
-        "model": _model_dict(model),
+        "model": {"kind": args.model, **{k: getattr(model, k) for k in _MODELS[args.model][1]}},
         "J": J,
         "gamma": args.gamma,
         "mean": dist.mean,
@@ -173,35 +169,16 @@ def _cmd_solve_j(args) -> None:
 
 
 def _cmd_autocorr(args) -> None:
-    model = _build_model(args)
-    state = build_state(model, _resolve_j(args, model), args.gamma)
-    grid = default_time_grid(
-        model,
-        state.mean_n(),
-        samples_per_tcl=args.samples_per_tcl,
-        horizon_revivals=args.tmax_rev,
-        horizon_classical=args.tmax_cl,
-    )
-    series = autocorrelation(state, grid)
-    tau, tau_cl = _tau_pair(series.times, series.t_classical, series.t_revival)
-    columns = [series.times, tau, tau_cl, series.values.real, series.values.imag, series.abs2]
+    series, unit = _series(args)
+    t, values = series.times, series.values
+    columns = [t, t / unit, t / series.t_classical, values.real, values.imag, series.abs2]
     _emit_rows(args, ["t", "tau", "tau_cl", "re_A", "im_A", "abs2_A"], columns)
 
 
 def _cmd_revivals(args) -> None:
-    model = _build_model(args)
-    state = build_state(model, _resolve_j(args, model), args.gamma)
-    grid = default_time_grid(
-        model,
-        state.mean_n(),
-        samples_per_tcl=args.samples_per_tcl,
-        horizon_revivals=args.tmax_rev,
-        horizon_classical=args.tmax_cl,
-    )
-    series = autocorrelation(state, grid)
+    series, unit = _series(args)
     events = detect_revivals(series, args.threshold, args.q_max)
-    denom = series.t_revival if series.t_revival is not None else series.t_classical
-    rows = [(ev.time, ev.time / denom, ev.amplitude_sq, ev.p, ev.q) for ev in events]
+    rows = [(ev.time, ev.time / unit, ev.amplitude_sq, ev.p, ev.q) for ev in events]
     _emit_rows(args, ["time", "tau", "abs2", "p", "q"], list(zip(*rows)))
 
 
@@ -234,46 +211,63 @@ def _cmd_verify_measure(args) -> None:
 # --------------------------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=_MODEL_CHOICES, default="quasiharmonic")
-    p.add_argument("--alpha", type=float, default=1.0, help="energy scale (default 1)")
-    p.add_argument("--upsilon", type=float, default=0.1, help="quasi-harmonic nonlinearity")
-    p.add_argument("--mu", type=float, default=1.0, help="Morse nonlinearity")
-    p.add_argument("--lambda-tilde", dest="lambda_tilde", type=float, default=-0.02)
+def _flag(*names, **options):
+    return names, options
 
 
-def _add_state_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--J", type=float, help="coherent-state action parameter")
-    group.add_argument("--n0", type=float, help="target mean excitation (J solved for)")
-    if sweep:
-        group.add_argument(
-            "--j-grid",
-            dest="j_grid",
-            type=float,
-            nargs=3,
-            metavar=("START", "STOP", "COUNT"),
-            help="emit a (J, mean, variance, mandel_q) table over a uniform J grid",
-        )
-    else:
-        p.set_defaults(j_grid=None)
-    p.add_argument("--gamma", type=float, default=0.0, help="angle parameter")
+# Flags as data. Every command takes the model flags first and the output
+# flags last; a list among its own flags holds flags of which exactly one
+# must be given.
+_MODEL_FLAGS = [
+    _flag("--model", choices=tuple(_MODELS), default="quasiharmonic"),
+    _flag("--alpha", type=float, default=1.0, help="energy scale (default 1)"),
+    _flag("--upsilon", type=float, default=0.1, help="quasi-harmonic nonlinearity"),
+    _flag("--mu", type=float, default=1.0, help="Morse nonlinearity"),
+    _flag("--lambda-tilde", dest="lambda_tilde", type=float, default=-0.02),
+]
+_OUTPUT_FLAGS = [
+    _flag("--format", choices=("csv", "json"), default="csv"),
+    _flag("--out", default="-", help="output path ('-' for stdout)"),
+]
+_J = _flag("--J", type=float, help="coherent-state action parameter")
+_N0 = _flag("--n0", type=float, help="target mean excitation (J solved for)")
+_GAMMA = _flag("--gamma", type=float, default=0.0, help="angle parameter")
+_TIME_FLAGS = [
+    _flag("--samples-per-tcl", type=int, default=20),
+    _flag("--tmax-rev", type=float, default=1.1, help="horizon in units of T_rev"),
+    _flag("--tmax-cl", type=float, default=10.0, help="horizon in T_cl when no T_rev"),
+]
+_GRID_FLAGS = [
+    _flag("--grid-points", type=int, default=4001),
+    _flag("--grid-margin", type=float, default=1e-6, help="relative boundary margin"),
+]
 
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-
-
-def _add_time_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples-per-tcl", type=int, default=20)
-    p.add_argument("--tmax-rev", type=float, default=1.1, help="horizon in units of T_rev")
-    p.add_argument("--tmax-cl", type=float, default=10.0, help="horizon in T_cl when no T_rev")
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-points", type=int, default=4001)
-    p.add_argument("--grid-margin", type=float, default=1e-6, help="relative boundary margin")
+# name -> (handler, help, its own flags), in the order --help lists them
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "dimensionless and physical spectrum table",
+                 [_flag("--n-max", type=int, default=20)]),
+    "dist": (_cmd_dist, "weighting distribution P_n", [[_J, _N0], _GAMMA]),
+    "moments": (_cmd_moments, "mean, variance, Mandel Q and timescales", [
+        [_J, _N0, _flag("--j-grid", dest="j_grid", type=float, nargs=3,
+                        metavar=("START", "STOP", "COUNT"),
+                        help="emit a (J, mean, variance, mandel_q) table over a uniform J grid")],
+        _GAMMA,
+    ]),
+    "solve-j": (_cmd_solve_j, "invert the mean: J with <n>(J) = n0",
+                [_flag("--n0", type=float, required=True)]),
+    "autocorr": (_cmd_autocorr, "autocorrelation time series", [[_J, _N0], _GAMMA, *_TIME_FLAGS]),
+    "revivals": (_cmd_revivals, "detected revival/fractional-revival events", [
+        [_J, _N0], _GAMMA, *_TIME_FLAGS,
+        _flag("--threshold", type=float, default=0.2), _flag("--q-max", type=int, default=4),
+    ]),
+    "eigenfunction": (_cmd_eigenfunction, "sampled position-space eigenfunction",
+                      [_flag("--n", type=int, required=True), *_GRID_FLAGS]),
+    "density": (_cmd_density, "position density of an evolving state",
+                [[_J, _N0], _GAMMA, _flag("--time", type=float, default=0.0), *_GRID_FLAGS]),
+    "verify-measure": (_cmd_verify_measure, "resolution-of-unity moment check", [
+        _flag("--n-max-moment", type=int, default=5), _flag("--nodes", type=int, default=2000),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,75 +280,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="dimensionless and physical spectrum table")
-    _add_model_flags(p)
-    p.add_argument("--n-max", type=int, default=20)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("dist", help="weighting distribution P_n")
-    _add_model_flags(p)
-    _add_state_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("moments", help="mean, variance, Mandel Q and timescales")
-    _add_model_flags(p)
-    _add_state_flags(p, sweep=True)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("solve-j", help="invert the mean: J with <n>(J) = n0")
-    _add_model_flags(p)
-    p.add_argument("--n0", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_solve_j)
-
-    p = sub.add_parser("autocorr", help="autocorrelation time series")
-    _add_model_flags(p)
-    _add_state_flags(p)
-    _add_time_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_autocorr)
-
-    p = sub.add_parser("revivals", help="detected revival/fractional-revival events")
-    _add_model_flags(p)
-    _add_state_flags(p)
-    _add_time_flags(p)
-    p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--q-max", type=int, default=4)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_revivals)
-
-    p = sub.add_parser("eigenfunction", help="sampled position-space eigenfunction")
-    _add_model_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    _add_grid_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_eigenfunction)
-
-    p = sub.add_parser("density", help="position density of an evolving state")
-    _add_model_flags(p)
-    _add_state_flags(p)
-    p.add_argument("--time", type=float, default=0.0)
-    _add_grid_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("verify-measure", help="resolution-of-unity moment check")
-    _add_model_flags(p)
-    p.add_argument("--n-max-moment", type=int, default=5)
-    p.add_argument("--nodes", type=int, default=2000)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_measure)
-
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*_MODEL_FLAGS, *flags, *_OUTPUT_FLAGS):
+            if isinstance(flag, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for names, options in flag:
+                    group.add_argument(*names, **options)
+            else:
+                names, options = flag
+                p.add_argument(*names, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
+# Built once per process; parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
     except (GKStatesError, ValueError, OverflowError) as exc:

@@ -61,6 +61,8 @@ def _require_constructible(model: SpectrumModel) -> None:
 def _require_argument(J: float) -> None:
     if not J >= 0:
         raise DomainError(f"J must be >= 0, got {J}")
+    if not math.isfinite(J):
+        raise DomainError(f"J must be finite, got {J}")
 
 
 def _positive_levels(levels: Levels, k: np.ndarray) -> np.ndarray:

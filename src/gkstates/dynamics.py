@@ -135,6 +135,10 @@ def autocorrelation(state: CoherentState, t_grid: np.ndarray | None = None) -> T
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise DomainError("time grid must be a 1-d array with at least 2 samples")
+    finite = np.isfinite(t_grid)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DomainError(f"t_grid must hold finite times, got {t_grid[i]} at index {i}")
     w = state.weights
     phases = state.e_values * state.model.omega
     dt = _uniform_step(t_grid)

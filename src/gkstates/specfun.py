@@ -1,4 +1,4 @@
-"""Special-function kernel: log-gamma, confluent 0F1, modified Bessel K.
+"""Special-function kernel: confluent 0F1, modified Bessel K.
 
 Everything here is a pure function of its arguments.  The 0F1 series is
 summed in log space over the certified window of the coherent-state series
@@ -24,21 +24,9 @@ from .coherent import _series_window
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "log_gamma",
     "log_hyp0f1",
     "log_bessel_k",
 ]
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Thin domain-checked wrapper over the C library lgamma, which is accurate
-    to a few ulp over the whole range used here.
-    """
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def log_hyp0f1(b: float, z: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,9 +77,14 @@ class SpectrumModel:
         return self.ground_energy + self.omega * self._e_raw(n)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+def _check_parameters(model: SpectrumModel) -> None:
+    """Every parameter of a model must be finite, and alpha positive."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
+    if not model.alpha > 0:
+        raise DomainError(f"alpha must be positive, got {model.alpha}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class QuasiHarmonic(SpectrumModel):
     upsilon: float = 0.1
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        _check_parameters(self)
         if self.upsilon < 0:
             raise DomainError(f"upsilon must be >= 0, got {self.upsilon}")
         if self.upsilon > 2:
@@ -138,7 +143,7 @@ class Morse(SpectrumModel):
     alpha: float = 1.0
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        _check_parameters(self)
         if not self.mu > 0:
             raise DomainError(f"mu must be positive, got {self.mu}")
         if self.mu > 4:
@@ -170,7 +175,7 @@ class MathewsLakshmanan(SpectrumModel):
     lambda_tilde: float = -0.02
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        _check_parameters(self)
 
     @property
     def ground_energy(self) -> float:

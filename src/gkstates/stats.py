@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import build_state, log_rho_sequence
+from .coherent import _require_argument, build_state, log_rho_sequence
 from .errors import DomainError
-from .specfun import log_bessel_k, log_gamma, log_hyp0f1
+from .specfun import log_bessel_k, log_hyp0f1
 from .spectrum import QuasiHarmonic, SpectrumModel
 
 __all__ = [
@@ -65,60 +65,50 @@ def _require_quasiharmonic(model: SpectrumModel, what: str) -> QuasiHarmonic:
     return model
 
 
-def mean_closed_form(model: SpectrumModel, J: float) -> float:
-    """<n> = J/(2u^2+1) * 0F1(3+1/u^2; J/u^2) / 0F1(2+1/u^2; J/u^2)."""
-    m = _require_quasiharmonic(model, "mean_closed_form")
-    if J < 0:
-        raise DomainError(f"J must be >= 0, got {J}")
-    u = m.upsilon
-    if u == 0.0:
-        return J  # Poisson limit
-    if J == 0.0:
-        return 0.0
+def _closed_form_logs(model: SpectrumModel, J: float, what: str):
+    """(u, logs) for the closed forms: logs holds ln 0F1(b + k; J/u^2) for
+    k = 0, 1, 2 with b = 2 + 1/u^2, or is None at u = 0 or J = 0, where each
+    closed form takes its limit."""
+    u = _require_quasiharmonic(model, what).upsilon
+    _require_argument(J)
+    if u == 0.0 or J == 0.0:
+        return u, None
     b = 2.0 + 1.0 / u**2
     z = J / u**2
-    return J / (2.0 * u**2 + 1.0) * math.exp(log_hyp0f1(b + 1.0, z) - log_hyp0f1(b, z))
+    return u, tuple(log_hyp0f1(b + k, z) for k in (0.0, 1.0, 2.0))
+
+
+def mean_closed_form(model: SpectrumModel, J: float) -> float:
+    """<n> = J/(2u^2+1) * 0F1(3+1/u^2; J/u^2) / 0F1(2+1/u^2; J/u^2)."""
+    u, logs = _closed_form_logs(model, J, "mean_closed_form")
+    if logs is None:
+        return J if u == 0.0 else 0.0  # Poisson limit, or the vacuum
+    lf2, lf3, _ = logs
+    return J / (2.0 * u**2 + 1.0) * math.exp(lf3 - lf2)
 
 
 def variance_closed_form(model: SpectrumModel, J: float) -> float:
     """(Delta n)^2 = <n>(1-<n>) + J^2/((2u^2+1)(3u^2+1)) * F(4+1/u^2)/F(2+1/u^2)."""
-    m = _require_quasiharmonic(model, "variance_closed_form")
-    if J < 0:
-        raise DomainError(f"J must be >= 0, got {J}")
-    u = m.upsilon
-    if u == 0.0:
-        return J
-    if J == 0.0:
-        return 0.0
-    b = 2.0 + 1.0 / u**2
-    z = J / u**2
-    mean = mean_closed_form(model, J)
-    ratio42 = math.exp(log_hyp0f1(b + 2.0, z) - log_hyp0f1(b, z))
+    u, logs = _closed_form_logs(model, J, "variance_closed_form")
+    if logs is None:
+        return J if u == 0.0 else 0.0
+    lf2, lf3, lf4 = logs
+    mean = J / (2.0 * u**2 + 1.0) * math.exp(lf3 - lf2)
+    ratio42 = math.exp(lf4 - lf2)
     return mean * (1.0 - mean) + J**2 / ((2.0 * u**2 + 1.0) * (3.0 * u**2 + 1.0)) * ratio42
 
 
 def mandel_q(model: SpectrumModel, J: float) -> float:
     """Q = ((Delta n)^2 - <n>) / <n> from the series distribution; Q(0) = 0."""
-    if J < 0:
-        raise DomainError(f"J must be >= 0, got {J}")
-    if J == 0.0:
-        return 0.0
     return distribution(model, J).mandel_q
 
 
 def mandel_q_closed_form(model: SpectrumModel, J: float) -> float:
     """Two-ratio 0F1 form of Q for the quasi-harmonic model."""
-    m = _require_quasiharmonic(model, "mandel_q_closed_form")
-    if J < 0:
-        raise DomainError(f"J must be >= 0, got {J}")
-    u = m.upsilon
-    if u == 0.0 or J == 0.0:
+    u, logs = _closed_form_logs(model, J, "mandel_q_closed_form")
+    if logs is None:
         return 0.0
-    b = 2.0 + 1.0 / u**2
-    z = J / u**2
-    lf2 = log_hyp0f1(b, z)
-    lf3 = log_hyp0f1(b + 1.0, z)
-    lf4 = log_hyp0f1(b + 2.0, z)
+    lf2, lf3, lf4 = logs
     return J / (3.0 * u**2 + 1.0) * math.exp(lf4 - lf3) - J / (
         2.0 * u**2 + 1.0
     ) * math.exp(lf3 - lf2)
@@ -130,6 +120,8 @@ def solve_j(model: SpectrumModel, n0: float, tol: float = 1e-8) -> float:
     Bracketing uses the action identity J = <e> >= e at the target level,
     then plain bisection.
     """
+    if not math.isfinite(n0):
+        raise DomainError(f"target mean n0 must be finite, got {n0}")
     if n0 < 0:
         raise DomainError(f"target mean must be >= 0, got {n0}")
     if n0 == 0.0:
@@ -184,7 +176,7 @@ def _log_wtilde(model: QuasiHarmonic, J: np.ndarray) -> np.ndarray:
         + 0.5 * nu * np.log(x)
         + log_bessel_k(nu, 2.0 * np.sqrt(x))
         - 2.0 * math.log(u)
-        - log_gamma(2.0 + 1.0 / u**2)
+        - math.lgamma(2.0 + 1.0 / u**2)
     )
 
 

@@ -75,6 +75,8 @@ def default_grid(model: SpectrumModel, n_points: int = 4001, margin_rel: float =
     m = weight_deformation(model)
     if n_points % 2 == 0:
         raise GridError("n_points must be odd (composite Simpson quadrature)")
+    if not math.isfinite(margin_rel):
+        raise DomainError(f"margin_rel must be finite, got {margin_rel}")
     hw = 1.0 / m
     margin = margin_rel * hw
     return GridSpec(points=np.linspace(-hw + margin, hw - margin, n_points), margin=margin)
@@ -122,6 +124,8 @@ def _psi_sum(model: QuasiHarmonic, rho: np.ndarray, coefficients, n_lo: int = 0)
     _RESCALE_AT its size is folded into log_scale point by point.  A value
     lost to underflow is then below _RESCALE_AT * 1e-308 = 1e-208.
     """
+    if n_lo < 0:
+        raise DomainError(f"quantum number must be >= 0, got {n_lo}")
     m = weight_deformation(model)
     lam = 1.0 / m**2 + 0.5
     x = m * rho
@@ -151,10 +155,7 @@ def _psi_sum(model: QuasiHarmonic, rho: np.ndarray, coefficients, n_lo: int = 0)
 
 def eigenfunction(n: int, model: SpectrumModel, grid: GridSpec | None = None) -> np.ndarray:
     """Sampled psi_n on the grid, orthonormal on (-1/m, 1/m) by closed-form norms."""
-    if not isinstance(model, QuasiHarmonic):
-        raise DomainError("eigenfunctions exist for the quasi-harmonic model only")
-    if n < 0:
-        raise DomainError(f"quantum number must be >= 0, got {n}")
+    weight_deformation(model)
     if grid is None:
         grid = default_grid(model)
     return _psi_sum(model, grid.points, [1.0], n_lo=n)
@@ -170,17 +171,13 @@ def hamiltonian_residual(n: int, model: SpectrumModel, grid: GridSpec | None = N
     sampled psi_n with centred 4th-order float64 stencils and returns
     ||H psi - E_n psi||_2 / ||psi||_2 over the interior points.
     """
-    if not isinstance(model, QuasiHarmonic):
-        raise DomainError("residual check exists for the quasi-harmonic model only")
-    if n < 0:
-        raise DomainError(f"quantum number must be >= 0, got {n}")
+    m = weight_deformation(model)
     if grid is None:
         grid = residual_grid(model)
     if len(grid.points) < 2000:
         raise GridError(f"residual grid too coarse ({len(grid.points)} points, need >= 2000)")
     rho = grid.points
     h = grid.h
-    m = weight_deformation(model)
     psi = _psi_sum(model, rho, [1.0], n_lo=n)
     mid = psi[2:-2]
     d1 = (8.0 * (psi[3:-1] - psi[1:-3]) - (psi[4:] - psi[:-4])) / (12.0 * h)
@@ -201,8 +198,9 @@ def coherent_density(
 ) -> np.ndarray:
     """Position density |sum_n c_n(t) psi_n(rho)|^2 of an evolving state."""
     model = state.model
-    if not isinstance(model, QuasiHarmonic):
-        raise DomainError("position densities exist for the quasi-harmonic model only")
+    weight_deformation(model)
+    if not math.isfinite(time):
+        raise DomainError(f"time must be finite, got {time}")
     if state.truncation_n > 1000:
         raise DomainError(
             f"state carries {state.truncation_n} components; densities are "

@@ -189,6 +189,64 @@ def test_time_grid_arguments_are_named_when_invalid(flag, value, named):
     assert cp.stderr == f"gkstates: error: {named}\n"
 
 
+_BAD_J_GRID = "; need finite 0 <= START < STOP and an integral COUNT >= 2"
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        ("spectrum --upsilon nan", "upsilon must be finite, got nan"),
+        ("eigenfunction --n 2 --upsilon nan", "upsilon must be finite, got nan"),
+        ("spectrum --upsilon inf", "upsilon must be finite, got inf"),
+        ("spectrum --model morse --mu inf", "mu must be finite, got inf"),
+        (
+            "spectrum --model mathews-lakshmanan --lambda-tilde nan",
+            "lambda_tilde must be finite, got nan",
+        ),
+        ("spectrum --alpha inf", "alpha must be finite, got inf"),
+        ("density --J 5.9 --time nan", "time must be finite, got nan"),
+        ("eigenfunction --n 2 --grid-margin nan", "margin_rel must be finite, got nan"),
+        ("solve-j --n0 nan", "target mean n0 must be finite, got nan"),
+        ("solve-j --n0 inf", "target mean n0 must be finite, got inf"),
+        ("dist --J inf", "J must be finite, got inf"),
+        ("moments --j-grid 0 30 2.7", "bad --j-grid [0.0, 30.0, 2.7]" + _BAD_J_GRID),
+        ("moments --j-grid 0 30 1e400", "bad --j-grid [0.0, 30.0, inf]" + _BAD_J_GRID),
+        ("moments --j-grid 0 nan 5", "bad --j-grid [0.0, nan, 5.0]" + _BAD_J_GRID),
+        ("moments --j-grid 0 inf 5", "bad --j-grid [0.0, inf, 5.0]" + _BAD_J_GRID),
+    ],
+)
+def test_non_finite_and_fractional_inputs_are_named(argv, named, capsys):
+    assert cli.main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"gkstates: error: {named}\n"
+
+
+def test_one_parser_serves_many_calls(monkeypatch, capsys):
+    # main() parses with the parser built at import; flags of one call must
+    # not leak into the next, and a usage error must not spoil the parser
+    def no_second_parser():
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_second_parser)
+    calls = [
+        ["moments", "--j-grid", "0", "40", "5"],
+        ["moments", "--J", "5", "--format", "json"],
+        ["moments", "--J", "5", "--n0", "3"],  # usage error: exit 2
+        ["dist", "--n0", "5"],
+        ["revivals", "--model", "morse", "--J", "9", "--threshold", "0.5"],
+        ["solve-j", "--n0", "3"],
+    ]
+    for argv in calls:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_moments_sweep_table():
     cp = run_cli("moments", "--upsilon", "0.2", "--j-grid", "0", "40", "5")
     assert cp.returncode == 0, cp.stderr

@@ -284,6 +284,13 @@ def test_detect_revivals_rejects_a_non_uniform_grid():
         detect_revivals(autocorrelation(st, t), threshold=0.2, q_max=4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_autocorrelation_rejects_a_non_finite_time(bad):
+    st = build_state(QuasiHarmonic(upsilon=0.1), 5.9)
+    with pytest.raises(DomainError, match=f"t_grid must hold finite times, got {bad} at index 1"):
+        autocorrelation(st, [0.0, bad, 2.0])
+
+
 def _qh_series(ups, n0):
     m = QuasiHarmonic(alpha=1.0, upsilon=ups)
     return autocorrelation(build_state(m, solve_j(m, float(n0))))

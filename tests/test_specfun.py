@@ -12,40 +12,11 @@ from gkstates import (
     DomainError,
     QuasiHarmonic,
     log_bessel_k,
-    log_gamma,
     log_hyp0f1,
     specfun,
 )
 from gkstates.stats import _measure_cutoff, _measure_nodes
 from measure_oracles import bessel_k
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert math.isclose(log_gamma(5.0), math.log(24.0), rel_tol=1e-15)
-    assert math.isclose(log_gamma(0.5), 0.5 * math.log(math.pi), rel_tol=1e-15)
-
-
-def test_log_gamma_against_mpmath():
-    mp.mp.dps = 30
-    for x in np.geomspace(0.5, 1e6, 40):
-        ref = float(mp.loggamma(mp.mpf(x)))
-        got = log_gamma(float(x))
-        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
-
-
-def test_log_gamma_recurrence():
-    # |lg(x+1) - lg(x) - ln x| small on a log grid; for large x the result
-    # quantisation (ulp of ~8e4) is the attainable floor
-    for x in np.geomspace(1.0, 1e4, 60):
-        defect = log_gamma(x + 1.0) - log_gamma(x) - math.log(x)
-        assert abs(defect) <= max(1e-12, 4.0 * np.spacing(log_gamma(x + 1.0)))
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-def test_log_gamma_domain(bad):
-    with pytest.raises(DomainError):
-        log_gamma(bad)
 
 
 def brute_force_0f1(b, z, terms=200):

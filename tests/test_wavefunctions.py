@@ -255,6 +255,14 @@ def test_coherent_density_full_revival():
 
 
 def test_coherent_density_rejects_morse():
-    st = build_state(Morse(mu=1.0), 4.0)
-    with pytest.raises(DomainError):
-        coherent_density(st)
+    # an explicit quasi-harmonic grid, so that no grid builder can raise first
+    model = QuasiHarmonic(upsilon=0.2)
+    grid = residual_grid(model)
+    morse = Morse(mu=1.0)
+    with pytest.raises(DomainError, match="quasi-harmonic model only"):
+        coherent_density(build_state(morse, 4.0), grid)
+    for fn in (eigenfunction, hamiltonian_residual):
+        with pytest.raises(DomainError, match="quasi-harmonic model only"):
+            fn(2, morse, grid)
+        with pytest.raises(DomainError, match="quantum number must be >= 0, got -1"):
+            fn(-1, model, grid)
