@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -300,12 +301,19 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    try:
-        args.func(args)
-    except (GKStatesError, ValueError, OverflowError) as exc:
-        print(f"gkstates: error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # every call reports its warnings, not only the first
+        try:
+            args.func(args)
+        except (GKStatesError, ValueError, OverflowError) as exc:
+            error = str(exc)  # not exc: its traceback would keep the failed call's frames alive
+    for warning in caught:  # one line each, free of the install path
+        print(f"gkstates: warning: {warning.message}", file=sys.stderr)
+    if error is None:
+        return 0
+    print(f"gkstates: error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

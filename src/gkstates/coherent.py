@@ -98,8 +98,9 @@ def _mode(levels: Levels, x: float) -> int:
     k = int(e.searchsorted(x, side="right"))
     if k == len(_PROBES):
         raise DomainError(
-            f"x={x:g} lies outside the radius of convergence of sum x^n / rho_n: "
-            f"the levels stay below it up to n=2^62, where e_n = {e[-1]:.6g}"
+            f"the largest term of sum x^n / rho_n at x={x:g} lies beyond n=2^62, where "
+            f"e_n = {e[-1]:.6g} is still below x, or the series diverges at x (outside "
+            "its radius of convergence)"
         )
     lo, hi = int(_PROBES[k - 1]), int(_PROBES[k])
     while hi - lo > 1:

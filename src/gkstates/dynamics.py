@@ -59,14 +59,10 @@ def timescales(model: SpectrumModel, n0: float) -> Timescales:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Uniformly sampled complex autocorrelation with its grid metadata."""
+    """Uniformly sampled complex autocorrelation with the state's timescales."""
 
     times: np.ndarray
     values: np.ndarray
-    model: SpectrumModel
-    J: float
-    gamma: float
-    n0: float
     t_classical: float
     t_revival: float | None
 
@@ -107,6 +103,9 @@ def default_time_grid(
     return np.arange(n_samples) * dt
 
 
+_NOT_UNIFORM = "needs a uniform time grid, t_i = t_0 + i dt to float rounding"
+
+
 def _uniform_step(t: np.ndarray) -> float | None:
     """The step dt when t_i = t_0 + i dt holds to float rounding, else None.
 
@@ -126,8 +125,8 @@ def autocorrelation(state: CoherentState, t_grid: np.ndarray | None = None) -> T
     On a uniform grid the M samples are cut into K blocks of B = ceil(sqrt(M)):
     A[kB + b] = sum_n (P_n exp(i w e_n t_kB)) exp(i w e_n b dt), one matrix
     product over about 2 sqrt(M) N phase factors. Each block start t_kB is a
-    grid value, so rounding does not accumulate from block to block. Other
-    grids take the direct sum in chunks of 8192 samples.
+    grid value, so rounding does not accumulate from block to block. Any other
+    grid raises DomainError.
     """
     n0 = state.mean_n()
     if t_grid is None:
@@ -139,31 +138,16 @@ def autocorrelation(state: CoherentState, t_grid: np.ndarray | None = None) -> T
     if not finite.all():
         i = int(finite.argmin())
         raise DomainError(f"t_grid must hold finite times, got {t_grid[i]} at index {i}")
-    w = state.weights
-    phases = state.e_values * state.model.omega
     dt = _uniform_step(t_grid)
-    if dt is not None:
-        block = math.isqrt(len(t_grid) - 1) + 1
-        starts = w * np.exp(1j * np.outer(t_grid[::block], phases))
-        steps = np.exp(1j * np.outer(np.arange(block) * dt, phases))
-        values = (starts @ steps.T).ravel()[: len(t_grid)]
-    else:
-        values = np.empty(len(t_grid), dtype=complex)
-        # chunked matmul keeps the (t, n) phase matrix bounded in memory
-        for lo in range(0, len(t_grid), 8192):
-            hi = min(lo + 8192, len(t_grid))
-            values[lo:hi] = np.exp(1j * np.outer(t_grid[lo:hi], phases)) @ w
+    if dt is None:
+        raise DomainError(f"autocorrelation {_NOT_UNIFORM}")
+    phases = state.e_values * state.model.omega
+    block = math.isqrt(len(t_grid) - 1) + 1
+    starts = state.weights * np.exp(1j * np.outer(t_grid[::block], phases))
+    steps = np.exp(1j * np.outer(np.arange(block) * dt, phases))
+    values = (starts @ steps.T).ravel()[: len(t_grid)]
     ts = timescales(state.model, n0)
-    return TimeSeries(
-        times=t_grid,
-        values=values,
-        model=state.model,
-        J=state.J,
-        gamma=state.gamma,
-        n0=n0,
-        t_classical=ts.t_classical,
-        t_revival=ts.t_revival,
-    )
+    return TimeSeries(t_grid, values, ts.t_classical, ts.t_revival)
 
 
 @dataclass(frozen=True)
@@ -197,10 +181,7 @@ def detect_revivals(
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
     if _uniform_step(series.times) is None:
-        raise DomainError(
-            "detect_revivals needs a uniform time grid; the sample times deviate "
-            "from t_0 + i dt by more than float rounding"
-        )
+        raise DomainError(f"detect_revivals {_NOT_UNIFORM}")
     dt = series.dt
     if dt > series.t_classical / 10.0:
         raise ResolutionError(

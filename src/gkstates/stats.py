@@ -114,7 +114,10 @@ def mandel_q_closed_form(model: SpectrumModel, J: float) -> float:
     ) * math.exp(lf3 - lf2)
 
 
-def solve_j(model: SpectrumModel, n0: float, tol: float = 1e-8) -> float:
+_SOLVE_J_TOL = 1e-8  # the bisection ends at a bracket on J of a tenth of this
+
+
+def solve_j(model: SpectrumModel, n0: float) -> float:
     """Invert the strictly increasing mean: find J with <n>(J) = n0.
 
     Bracketing uses the action identity J = <e> >= e at the target level,
@@ -132,7 +135,7 @@ def solve_j(model: SpectrumModel, n0: float, tol: float = 1e-8) -> float:
         if hi > 1e12:
             raise DomainError(f"target mean {n0} appears unreachable for {model!r}")
     lo = 0.0
-    while hi - lo > tol * 0.1:
+    while hi - lo > _SOLVE_J_TOL * 0.1:
         mid = 0.5 * (lo + hi)
         if distribution(model, mid).mean < n0:
             lo = mid

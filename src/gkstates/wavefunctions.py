@@ -82,7 +82,10 @@ def default_grid(model: SpectrumModel, n_points: int = 4001, margin_rel: float =
     return GridSpec(points=np.linspace(-hw + margin, hw - margin, n_points), margin=margin)
 
 
-def residual_grid(model: SpectrumModel, h_target: float = 5e-4) -> GridSpec:
+_RESIDUAL_STEP = 5e-4  # the target grid step of residual_grid
+
+
+def residual_grid(model: SpectrumModel) -> GridSpec:
     """Float64 grid for the finite-difference residual check.
 
     At the step ~5e-4 the h^4 truncation error of the 4th-order stencils
@@ -93,7 +96,7 @@ def residual_grid(model: SpectrumModel, h_target: float = 5e-4) -> GridSpec:
     """
     m = weight_deformation(model)
     hw = 1.0 / m
-    n_points = min(2_000_001, max(2001, int(math.ceil(2.0 * hw / h_target)) + 1))
+    n_points = min(2_000_001, max(2001, int(math.ceil(2.0 * hw / _RESIDUAL_STEP)) + 1))
     margin = 100.0 * hw / (n_points - 1)
     return GridSpec(points=np.linspace(-hw + margin, hw - margin, n_points), margin=margin)
 

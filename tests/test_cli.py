@@ -247,6 +247,23 @@ def test_one_parser_serves_many_calls(monkeypatch, capsys):
         assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+@pytest.mark.parametrize(
+    "flags,warning",
+    [
+        ("--upsilon 3", "upsilon=3.0 is outside the tested range [0, 2]"),
+        ("--model morse --mu 5", "mu=5.0 is outside the tested range (0, 4]"),
+    ],
+)
+def test_model_warning_is_one_line_on_every_call(flags, warning, capsys):
+    argv = ["spectrum", "--n-max", "1", *flags.split()]
+    expected = f"gkstates: warning: {warning}\n"
+    for _ in range(2):  # a repeated warning is printed again
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == expected
+    fresh = run_cli(*argv)
+    assert (fresh.returncode, fresh.stderr) == (0, expected)
+
+
 def test_moments_sweep_table():
     cp = run_cli("moments", "--upsilon", "0.2", "--j-grid", "0", "40", "5")
     assert cp.returncode == 0, cp.stderr

@@ -185,6 +185,14 @@ def test_j_outside_convergence_domain():
         build_state(GeometricSpectrum(), 2.0, 0.0)  # radius is 1
 
 
+def test_peak_beyond_the_probed_levels_is_named():
+    # the Poisson series converges for every x; at J = 1e30 its largest term
+    # lies past n = 2^62, the last level the peak search probes
+    with pytest.raises(DomainError, match=r"beyond n=2\^62, where e_n = 4\.61169e\+18") as err:
+        build_state(QuasiHarmonic(upsilon=0.0), 1e30)
+    assert str(err.value).startswith("the largest term of sum x^n / rho_n at x=1e+30 lies beyond")
+
+
 def test_wide_window_names_the_component_cap():
     # the Poisson window at J = 1e5 needs about 6000 components (+-9.5 sigma),
     # over the 5000-component cap, although the radius of convergence is infinite
