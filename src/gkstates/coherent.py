@@ -25,7 +25,7 @@ from .errors import (
     ModelMismatchError,
     TruncatedSpectrumError,
 )
-from .spectrum import Morse, QuasiHarmonic, SpectrumModel
+from .spectrum import SpectrumModel
 
 __all__ = [
     "CoherentState",
@@ -177,18 +177,19 @@ def log_rho_sequence(model: SpectrumModel, n_max: int) -> np.ndarray:
 
 
 def log_rho_closed(model: SpectrumModel, n: int) -> float:
-    """Closed-form ln rho_n (quasi-harmonic and Morse models only)."""
+    """Closed-form ln rho_n of the levels e_k = k (c + b (k + 1)) for b >= 0:
+    rho_n = n! b^n Gamma(c/b + 2 + n) / Gamma(c/b + 2), and n! c^n at b = 0."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if isinstance(model, QuasiHarmonic):
-        u = model.upsilon
-        if u == 0.0:
-            return math.lgamma(n + 1.0)  # Poisson limit: rho_n = n!
-        b = 2.0 + 1.0 / u**2
-        return math.lgamma(n + 1.0) + 2.0 * n * math.log(u) + math.lgamma(b + n) - math.lgamma(b)
-    if isinstance(model, Morse):
-        return math.lgamma(n + 1.0) + 2.0 * n * math.log(model.mu)
-    raise DomainError(f"no closed-form rho_n for model {model!r}")
+    c, b = model.coefficients
+    if b < 0:
+        raise DomainError(f"no closed-form rho_n for the truncated spectrum of {model!r}")
+    if b == 0.0:
+        if not c > 0:
+            raise DegenerateSpectrumError(f"the levels of {model!r} are all 0; rho_n is undefined")
+        return math.lgamma(n + 1.0) + n * math.log(c)
+    a = c / b + 2.0
+    return math.lgamma(n + 1.0) + n * math.log(b) + math.lgamma(a + n) - math.lgamma(a)
 
 
 def log_normalization_sq(model: SpectrumModel, J: float) -> float:

@@ -30,31 +30,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Timescales:
-    """Recurrence times T_(r) = 2 pi / (omega/r! * d^r e/dn^r).
+    """Classical and revival periods of the levels e_n = n (c + b (n + 1)) at n0:
 
-    A timescale is None when the corresponding spectral derivative vanishes
-    (the recurrence is absent; e.g. no revival time for a linear spectrum).
+    T_cl = 2 pi / (omega |c + b (2 n0 + 1)|), from the slope de/dn at n0;
+    T_rev = 2 pi / (omega |b|), from the curvature 2b, or None at b = 0
+    (a linear spectrum has no revival).
     """
 
     t_classical: float
     t_revival: float | None
-    t_super: float | None
 
 
 def timescales(model: SpectrumModel, n0: float) -> Timescales:
-    """Classical / revival / super-revival periods at wavepacket centre n0."""
+    """Classical and revival periods at wavepacket centre n0."""
     if n0 < 0:
         raise DomainError(f"n0 must be >= 0, got {n0}")
-    out = []
-    for order in (1, 2, 3):
-        d = model.e_n_derivative(n0, order)
-        if d == 0.0:
-            out.append(None)
-        else:
-            out.append(2.0 * math.pi * math.factorial(order) / (model.omega * abs(d)))
-    if out[0] is None:
+    c, b = model.coefficients
+    slope = c + b * (2.0 * n0 + 1.0)
+    if slope == 0.0:
         raise DomainError(f"spectrum of {model!r} is flat at n0={n0}")
-    return Timescales(t_classical=out[0], t_revival=out[1], t_super=out[2])
+    t_revival = 2.0 * math.pi / (model.omega * abs(b)) if b != 0.0 else None
+    return Timescales(2.0 * math.pi / (model.omega * abs(slope)), t_revival)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ __all__ = [
 
 
 class SpectrumModel:
-    """Base class: a parameterised rule n -> (E_n, e_n)."""
+    """Base class: a parameterised rule n -> (E_n, e_n), e_n = n (c + b (n + 1))."""
 
     alpha: float
 
@@ -38,16 +38,38 @@ class SpectrumModel:
         raise NotImplementedError
 
     @property
+    def coefficients(self) -> tuple[float, float]:
+        """(c, b) of the quadratic levels e_n = n (c + b (n + 1))."""
+        raise NotImplementedError
+
+    @property
     def n_max_valid(self) -> int | None:
-        """Largest valid quantum number, or None for an unbounded spectrum."""
-        return None
+        """Largest valid quantum number, or None for an unbounded spectrum (b >= 0).
+
+        The step e_n - e_(n-1) = c + 2 b n is positive for n < c / (-2b), but the
+        computed levels can tie below that bound: at near-ties such as
+        lambda_tilde = 1/k, and over whole runs of levels once n passes about
+        3e8 (7238 levels at lambda_tilde = 1e-10).  The bound is therefore the
+        last computed step that still increases, found by bisection.
+        """
+        c, b = self.coefficients
+        if b >= 0:
+            return None
+        lo, hi = 0, math.ceil(c / (-2.0 * b))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._e_raw(mid) > self._e_raw(mid - 1):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def _e_raw(self, n):
         """e_n for a number or, elementwise, for an integer array."""
-        raise NotImplementedError
-
-    def e_n_derivative(self, n: float, order: int) -> float:
-        raise NotImplementedError
+        c, b = self.coefficients
+        # at b = 0, n * c equals n * (c + b * (n + 1.0)) to the bit in one
+        # array operation instead of four
+        return n * (c + b * (n + 1.0)) if b else n * c
 
     def validate_n(self, n: int) -> None:
         if n < 0:
@@ -119,16 +141,9 @@ class QuasiHarmonic(SpectrumModel):
     def ground_energy(self) -> float:
         return 0.5 * self.alpha
 
-    def _e_raw(self, n: float) -> float:
-        return n * (1.0 + self.upsilon**2 * (n + 1.0))
-
-    def e_n_derivative(self, n: float, order: int) -> float:
-        u2 = self.upsilon**2
-        if order == 1:
-            return 1.0 + u2 * (2.0 * n + 1.0)
-        if order == 2:
-            return 2.0 * u2
-        return 0.0
+    @property
+    def coefficients(self) -> tuple[float, float]:
+        return 1.0, self.upsilon**2
 
 
 @dataclass(frozen=True)
@@ -155,11 +170,9 @@ class Morse(SpectrumModel):
     def ground_energy(self) -> float:
         return 0.0
 
-    def _e_raw(self, n: float) -> float:
-        return n * self.mu**2
-
-    def e_n_derivative(self, n: float, order: int) -> float:
-        return self.mu**2 if order == 1 else 0.0
+    @property
+    def coefficients(self) -> tuple[float, float]:
+        return self.mu**2, 0.0
 
 
 @dataclass(frozen=True)
@@ -182,18 +195,5 @@ class MathewsLakshmanan(SpectrumModel):
         return 0.5 * self.alpha
 
     @property
-    def n_max_valid(self) -> int | None:
-        if self.lambda_tilde <= 0:
-            return None
-        # largest n keeping e_{n+1} > e_n: steps shrink by lambda_tilde each level
-        return int(math.floor(1.0 / self.lambda_tilde - 1.0))
-
-    def _e_raw(self, n: float) -> float:
-        return n * (1.0 - 0.5 * self.lambda_tilde * (n + 1.0))
-
-    def e_n_derivative(self, n: float, order: int) -> float:
-        if order == 1:
-            return 1.0 - 0.5 * self.lambda_tilde * (2.0 * n + 1.0)
-        if order == 2:
-            return -self.lambda_tilde
-        return 0.0
+    def coefficients(self) -> tuple[float, float]:
+        return 1.0, -0.5 * self.lambda_tilde

@@ -36,7 +36,6 @@ class WeightingDistribution:
 
     probs: np.ndarray
     mean: float
-    second_moment: float
     variance: float
     mandel_q: float
 
@@ -51,12 +50,9 @@ def distribution(model: SpectrumModel, J: float) -> WeightingDistribution:
     probs = np.zeros(int(n[-1]) + 1)
     probs[n] = weights
     mean = math.fsum(weights * n)
-    second = math.fsum(weights * n * n)
-    var = second - mean * mean
+    var = math.fsum(weights * n * n) - mean * mean
     q = (var - mean) / mean if mean > 0 else 0.0
-    return WeightingDistribution(
-        probs=probs, mean=mean, second_moment=second, variance=var, mandel_q=q
-    )
+    return WeightingDistribution(probs=probs, mean=mean, variance=var, mandel_q=q)
 
 
 def _require_quasiharmonic(model: SpectrumModel, what: str) -> QuasiHarmonic:

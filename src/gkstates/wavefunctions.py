@@ -204,11 +204,6 @@ def coherent_density(
     weight_deformation(model)
     if not math.isfinite(time):
         raise DomainError(f"time must be finite, got {time}")
-    if state.truncation_n > 1000:
-        raise DomainError(
-            f"state carries {state.truncation_n} components; densities are "
-            "intended for desk-scale J"
-        )
     if grid is None:
         grid = default_grid(model)
     amplitude = _psi_sum(model, grid.points, state.coefficients(time), n_lo=int(state.n[0]))

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -54,6 +55,29 @@ def test_spectrum_table():
     assert header == ["n", "e_n", "energy"]
     assert len(rows) == 5
     assert float(rows[0][2]) == 0.5  # ground energy alpha/2
+
+
+# sha256 of the spectrum CSVs as first written by the per-model level formulas;
+# the levels are products and sums of floats with no exp or log, so the bytes
+# are the same on every IEEE-754 platform.
+SPECTRUM_DIGESTS = {
+    "--upsilon 0.1 --n-max 200": "a0a78fb9d04e22d922b51d979482aac014dca62df3d9fab16377a37d8c5ea14b",
+    "--upsilon 0.5 --n-max 200": "fc9c8105a2f6dccc55035f52025821209b0adf70c5689af60d2168268cb3e048",
+    "--model morse --mu 0.7 --n-max 200": "6310fa7a2ccede4ce8af14a350664cbd91229cb81d4cdc513b3d5a3f167b68d5",
+    "--model mathews-lakshmanan --lambda-tilde -0.08 --n-max 200": (
+        "af01c6721f229407f7ff5606b05322f6a03cec9aac829eeac25f7139870f4e87"
+    ),
+    "--model mathews-lakshmanan --lambda-tilde 0.1 --n-max 9": (
+        "61770a7bd612d8bec8252a913186fc9eae005deecb3e023eeeac2a023e568ac1"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", SPECTRUM_DIGESTS)
+def test_spectrum_bytes_are_pinned(flags, capsys):
+    assert cli.main(["spectrum", *flags.split()]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SPECTRUM_DIGESTS[flags]
 
 
 def test_moments_morse_json():

@@ -36,6 +36,7 @@ class GeometricSpectrum(SpectrumModel):
     """Synthetic bounded spectrum e_n = 1 - 2^-n: finite radius of convergence."""
 
     alpha = 1.0
+    n_max_valid = None
 
     @property
     def ground_energy(self):
@@ -44,12 +45,10 @@ class GeometricSpectrum(SpectrumModel):
     def _e_raw(self, n):
         return np.where(n == 0, 0.0, 1.0 - 2.0 ** (-n))
 
-    def e_n_derivative(self, n, order):
-        raise NotImplementedError
-
 
 class DegenerateSpectrum(SpectrumModel):
     alpha = 1.0
+    n_max_valid = None
 
     @property
     def ground_energy(self):
@@ -87,9 +86,25 @@ def test_rho_closed_form_morse():
         assert abs(log_rho_closed(m, n) - seq[n]) <= 1e-12 * max(1.0, abs(seq[n]))
 
 
+def test_rho_closed_form_mathews_lakshmanan():
+    m = MathewsLakshmanan(lambda_tilde=-0.08)
+    seq = log_rho_sequence(m, 200)
+    for n in (0, 1, 2, 10, 50, 137, 200):
+        assert abs(log_rho_closed(m, n) - seq[n]) <= 1e-12 * max(1.0, abs(seq[n]))
+    with pytest.raises(DomainError):
+        log_rho_closed(MathewsLakshmanan(lambda_tilde=0.1), 3)
+
+
+def test_rho_closed_form_where_upsilon_squared_underflows():
+    # upsilon^2 = 0 in float64: the levels are n, so rho_n = n!
+    assert log_rho_closed(QuasiHarmonic(upsilon=1e-200), 3) == math.lgamma(4.0)
+
+
 def test_rho_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         log_rho_sequence(DegenerateSpectrum(), 3)
+    with pytest.raises(DegenerateSpectrumError):  # mu^2 underflows to 0
+        log_rho_closed(Morse(mu=1e-200), 3)
 
 
 def brute_force_log_norm_sq(model, J, n_terms=400):

@@ -73,7 +73,6 @@ def test_timescales_quasiharmonic():
     ts = timescales(QuasiHarmonic(alpha=1.0, upsilon=0.1), 5.0)
     assert math.isclose(ts.t_classical, 2 * math.pi / 1.11, rel_tol=1e-12)
     assert math.isclose(ts.t_revival, 200 * math.pi, rel_tol=1e-12)
-    assert ts.t_super is None  # third spectral derivative vanishes
     assert ts.t_classical < ts.t_revival
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from gkstates import (
     DomainError,
@@ -11,6 +12,7 @@ from gkstates import (
     Morse,
     QuasiHarmonic,
     SpectrumRangeError,
+    timescales,
 )
 
 ALL_MODELS = [
@@ -78,7 +80,7 @@ def test_mathews_lakshmanan_matches_quasiharmonic():
 
 def test_truncated_spectrum_bound():
     ml = MathewsLakshmanan(alpha=1.0, lambda_tilde=0.1)
-    assert ml.n_max_valid == 9  # floor(1/0.1 - 1)
+    assert ml.n_max_valid == 9  # e_10 - e_9 = 1 - 10 lambda_tilde = 0
     # the bound is exactly the last strictly increasing level
     levels = [ml.e_n(n) for n in range(ml.n_max_valid + 1)]
     assert all(b > a for a, b in zip(levels, levels[1:]))
@@ -102,3 +104,77 @@ def test_parameter_validation():
         QuasiHarmonic(upsilon=2.5)
     with pytest.warns(UserWarning):
         Morse(mu=5.0)
+
+
+@pytest.mark.parametrize("lambda_tilde,n_max", [(0.3, 3), (0.07, 14), (1.5, 0)])
+def test_truncation_keeps_every_increasing_level(lambda_tilde, n_max):
+    # e_n - e_(n-1) = 1 - lambda_tilde n: 0.3 keeps e_3 = 1.2 > e_2 = 1.1
+    assert MathewsLakshmanan(lambda_tilde=lambda_tilde).n_max_valid == n_max
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    strategies.one_of(
+        strategies.floats(1e-4, 10.0),
+        strategies.integers(1, 10_000).map(lambda k: 1.0 / k),
+    )
+)
+def test_truncation_is_the_last_increasing_level(lambda_tilde):
+    ml = MathewsLakshmanan(lambda_tilde=lambda_tilde)
+    n_max = ml.n_max_valid
+    e = ml._e_raw(np.arange(n_max + 2))
+    assert (np.diff(e[: n_max + 1]) > 0).all()
+    assert e[n_max + 1] - e[n_max] <= 1e-12 * max(1.0, e[n_max])
+
+
+# ---------------------------------------------------------------------------
+# Levels and timescales stay bitwise those of the per-model formulas that the
+# (c, b) form replaced: e_n, and T_r = 2 pi r! / (omega |d^r e/dn^r|).
+
+
+def _per_model_level(model, n):
+    if isinstance(model, QuasiHarmonic):
+        return n * (1.0 + model.upsilon**2 * (n + 1.0))
+    if isinstance(model, Morse):
+        return n * model.mu**2
+    return n * (1.0 - 0.5 * model.lambda_tilde * (n + 1.0))
+
+
+def _per_model_derivatives(model, n):
+    """(de/dn, d^2e/dn^2) at n."""
+    if isinstance(model, QuasiHarmonic):
+        u2 = model.upsilon**2
+        return 1.0 + u2 * (2.0 * n + 1.0), 2.0 * u2
+    if isinstance(model, Morse):
+        return model.mu**2, 0.0
+    return 1.0 - 0.5 * model.lambda_tilde * (2.0 * n + 1.0), -model.lambda_tilde
+
+
+@strategies.composite
+def models(draw):
+    alpha = draw(strategies.floats(1e-2, 1e2))
+    kind = draw(strategies.sampled_from(("quasiharmonic", "morse", "mathews-lakshmanan")))
+    if kind == "quasiharmonic":
+        return QuasiHarmonic(alpha=alpha, upsilon=draw(strategies.floats(0.0, 2.0)))
+    if kind == "morse":
+        return Morse(alpha=alpha, mu=draw(strategies.floats(0.0, 4.0, exclude_min=True)))
+    return MathewsLakshmanan(alpha=alpha, lambda_tilde=draw(strategies.floats(-8.0, 1.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(models(), strategies.one_of(strategies.just(0.0), strategies.floats(0.1, 1e4)))
+def test_levels_and_timescales_match_the_per_model_formulas(model, n0):
+    n_max = model.n_max_valid
+    n = np.arange(20_000 if n_max is None else min(n_max + 1, 20_000))
+    assert model.levels(n).tobytes() == np.asarray(_per_model_level(model, n), dtype=float).tobytes()
+    for k in (0, len(n) // 2, len(n) - 1):
+        assert model.e_n(k) == _per_model_level(model, k)
+        assert model.energy(k) == model.ground_energy + model.omega * _per_model_level(model, k)
+    d1, d2 = _per_model_derivatives(model, n0)
+    if d1 == 0.0:
+        with pytest.raises(DomainError):
+            timescales(model, n0)
+        return
+    ts = timescales(model, n0)
+    assert ts.t_classical == 2.0 * math.pi * 1 / (model.omega * abs(d1))
+    assert ts.t_revival == (None if d2 == 0.0 else 2.0 * math.pi * 2 / (model.omega * abs(d2)))

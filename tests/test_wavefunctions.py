@@ -218,6 +218,14 @@ def test_coherent_density_integrates_to_one(ups, n0):
         assert abs(_simpson(coherent_density(st, grid, time=t), grid.h) - 1.0) <= 1e-8
 
 
+def test_coherent_density_past_a_thousand_components():
+    model = QuasiHarmonic(alpha=1.0, upsilon=0.01)
+    grid = default_grid(model, n_points=16001)
+    st = build_state(model, solve_j(model, 8000))
+    assert st.truncation_n > 1000
+    assert abs(_simpson(coherent_density(st, grid), grid.h) - 1.0) <= 1e-10
+
+
 # gegenbauer_psi overflows at upsilon = 0.01, so those states are checked by
 # their integrals above only.
 @pytest.mark.parametrize("ups,n0", DENSITY_STATES[:4])
