@@ -55,6 +55,7 @@ from .stats import (
     mandel_q,
     mandel_q_closed_form,
     mean_closed_form,
+    moment_sweep,
     solve_j,
     variance_closed_form,
     verify_measure_moments,

@@ -21,7 +21,7 @@ from .coherent import build_state
 from .dynamics import autocorrelation, default_time_grid, detect_revivals, timescales
 from .errors import DomainError, GKStatesError
 from .spectrum import MathewsLakshmanan, Morse, QuasiHarmonic
-from .stats import distribution, solve_j, verify_measure_moments
+from .stats import distribution, moment_sweep, solve_j, verify_measure_moments
 from .wavefunctions import GridSpec, coherent_density, default_grid, eigenfunction
 
 # cli name -> (model class, its parameters in the order the summary lists them)
@@ -135,11 +135,8 @@ def _cmd_moments(args) -> None:
         if not (0 <= start < stop < math.inf and count.is_integer() and count >= 2):
             raise DomainError(f"bad --j-grid {args.j_grid}; need finite 0 <= START < STOP "
                               "and an integral COUNT >= 2")
-        rows = []
-        for J in np.linspace(start, stop, int(count)):
-            d = distribution(model, float(J))
-            rows.append((float(J), d.mean, d.variance, d.mandel_q))
-        _emit_rows(args, ["J", "mean", "variance", "mandel_q"], list(zip(*rows)))
+        Js = np.linspace(start, stop, int(count))
+        _emit_rows(args, ["J", "mean", "variance", "mandel_q"], [Js, *moment_sweep(model, Js)])
         return
     J = _resolve_j(args, model)
     dist = distribution(model, J)

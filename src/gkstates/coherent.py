@@ -7,7 +7,8 @@ as logarithms; exponentiation happens once, after a max subtraction.
 
 Every series sum_n x^n / rho_n -- the normalisation, the overlap of two
 states (at x = sqrt(J_a J_b)) and 0F1 (levels d_k = k (b + k - 1)) -- is
-taken over the window that _series_window certifies around its largest term.
+taken over the window that _series_window certifies around its largest term;
+stats.moment_sweep certifies its (J x n) table by the same test, _kept.
 """
 
 from __future__ import annotations
@@ -110,18 +111,25 @@ def _mode(levels: Levels, x: float) -> int:
     return lo
 
 
+def _kept(run: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Whether each term ln(t / t_mode) = run is kept, run holding the running
+    sums of the log-ratios ``steps`` away from the mode (elementwise).
+
+    The levels increase, so the ratio s of a step (x / e_(n+1) up, e_n / x
+    down) bounds every later one, and the term t_n it starts from sums with
+    all beyond it to at most t_n / (1 - s).  A side ends at the first step
+    where that bound is below 1e-18 t_mode: the last term kept and everything
+    dropped after it both stay below the cut.
+    """
+    return np.exp(run - steps + _TAIL_LOG) + np.exp(steps) >= 1.0
+
+
 def _cut(steps: np.ndarray) -> tuple[np.ndarray, bool]:
     """ln(t_n / t_mode) for n stepping away from the mode by the log-ratios
-    ``steps``, out to the last term kept, and whether the side ended there.
-
-    The levels increase, so the ratio s of the next step (x / e_(n+1) up,
-    e_n / x down) bounds every later one, and t_n with the terms beyond it
-    sums to at most t_n / (1 - s).  The side ends at the first n where that
-    bound is below 1e-18 t_mode: the last term kept and everything dropped
-    after it both stay below the cut.
-    """
+    ``steps``, out to the last term kept (see _kept), and whether the side
+    ended there."""
     run = np.cumsum(steps)
-    keep = np.exp(run - steps + _TAIL_LOG) + np.exp(steps) >= 1.0
+    keep = _kept(run, steps)
     if keep.all():
         return run, False
     stop = int(keep.argmin())
@@ -176,20 +184,46 @@ def log_rho_sequence(model: SpectrumModel, n_max: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(e))))
 
 
+# B_2k / (2k (2k - 1)), k = 1..4: the Stirling series of ln Gamma(x) past
+# (x - 1/2) ln x - x + ln(2 pi) / 2, whose next term is below 1e-21 at x >= 100
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
+
+
+def _stirling_rest(x: float) -> float:
+    r = 1.0 / x
+    r2 = r * r
+    return r * (_STIRLING[0] + r2 * (_STIRLING[1] + r2 * (_STIRLING[2] + r2 * _STIRLING[3])))
+
+
 def log_rho_closed(model: SpectrumModel, n: int) -> float:
     """Closed-form ln rho_n of the levels e_k = k (c + b (k + 1)) for b >= 0:
-    rho_n = n! b^n Gamma(c/b + 2 + n) / Gamma(c/b + 2), and n! c^n at b = 0."""
+    rho_n = n! b^n Gamma(a + n) / Gamma(a) with a = c/b + 2, and n! c^n at b = 0.
+
+    For a >= 100, lgamma(a + n) - lgamma(a) would cancel to an absolute error
+    of about 1e-16 a ln a, so the Gamma ratio is taken from the Stirling
+    series instead, with b a = c + 2b:
+    ln(b^n Gamma(a + n) / Gamma(a)) = n ln(c + 2b) + (a + n - 1/2) ln(1 + n/a) - n
+    plus the difference of the series' remainders at a + n and a.
+    """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     c, b = model.coefficients
     if b < 0:
         raise DomainError(f"no closed-form rho_n for the truncated spectrum of {model!r}")
-    if b == 0.0:
+    a = c / b + 2.0 if b else math.inf
+    if a == math.inf:  # b = 0, or so small against c that every level is k c
         if not c > 0:
             raise DegenerateSpectrumError(f"the levels of {model!r} are all 0; rho_n is undefined")
         return math.lgamma(n + 1.0) + n * math.log(c)
-    a = c / b + 2.0
-    return math.lgamma(n + 1.0) + n * math.log(b) + math.lgamma(a + n) - math.lgamma(a)
+    if a < 100.0:
+        return math.lgamma(n + 1.0) + n * math.log(b) + math.lgamma(a + n) - math.lgamma(a)
+    return (
+        math.lgamma(n + 1.0)
+        + n * math.log(c + 2.0 * b)
+        + (a + n - 0.5) * math.log1p(n / a)
+        - n
+        + (_stirling_rest(a + n) - _stirling_rest(a))
+    )
 
 
 def log_normalization_sq(model: SpectrumModel, J: float) -> float:

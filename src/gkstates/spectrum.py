@@ -55,7 +55,13 @@ class SpectrumModel:
         c, b = self.coefficients
         if b >= 0:
             return None
-        lo, hi = 0, math.ceil(c / (-2.0 * b))
+        top = c / (-2.0 * b)
+        if top == math.inf:
+            raise DomainError(
+                f"the levels of {self!r} increase up to n = c / (-2b) = {c:g} / {-2.0 * b:g}, "
+                "which overflows a float"
+            )
+        lo, hi = 0, math.ceil(top)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._e_raw(mid) > self._e_raw(mid - 1):

@@ -12,14 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import _require_argument, build_state, log_rho_sequence
-from .errors import DomainError
+from .coherent import (
+    _MAX_COMPONENTS,
+    _kept,
+    _mode,
+    _require_argument,
+    _require_constructible,
+    _series_window,
+    build_state,
+    log_rho_sequence,
+)
+from .errors import ConvergenceError, DomainError
 from .specfun import log_bessel_k, log_hyp0f1
 from .spectrum import QuasiHarmonic, SpectrumModel
 
 __all__ = [
     "WeightingDistribution",
     "distribution",
+    "moment_sweep",
     "mean_closed_form",
     "variance_closed_form",
     "mandel_q",
@@ -50,9 +60,87 @@ def distribution(model: SpectrumModel, J: float) -> WeightingDistribution:
     probs = np.zeros(int(n[-1]) + 1)
     probs[n] = weights
     mean = math.fsum(weights * n)
-    var = math.fsum(weights * n * n) - mean * mean
+    var = math.fsum(weights * (n - mean) ** 2)
     q = (var - mean) / mean if mean > 0 else 0.0
     return WeightingDistribution(probs=probs, mean=mean, variance=var, mandel_q=q)
+
+
+# Cells of the (J x n) table that moment_sweep holds at a time.
+_SWEEP_CELLS = 2**15
+
+
+def moment_sweep(model: SpectrumModel, Js) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, variance and Mandel Q of P_n at every J of Js, as three arrays.
+
+    One (J x n) table stands in for a state per J.  Row J is anchored at its
+    own mode m, the largest n with e_n <= J, and holds ln(t_n / t_m) as the
+    running sums of the log-ratios that _series_window steps by, over the
+    band n = m - span .. m + span.  The band starts two steps wider than the
+    window at max(Js) and doubles, as _series_window's span does, until
+    _kept ends every row inside it.  The moments are taken about each row's
+    mode; a J = 0 row is (0, 0, 0).
+    """
+    _require_constructible(model)
+    Js = np.asarray(Js, dtype=float)
+    bad = ~(np.isfinite(Js) & (Js >= 0))
+    if bad.any():
+        _require_argument(float(Js[bad][0]))
+    mean, var, q = np.zeros(Js.shape), np.zeros(Js.shape), np.zeros(Js.shape)
+    live = np.flatnonzero(Js > 0)
+    if not live.size:
+        return mean, var, q
+    J = Js[live]
+    log_J, j_max = np.log(J), float(J.max())
+    window = _series_window(model.levels, j_max)
+    n_lo, n_hi = int(window.n[0]), int(window.n[-1])
+    top = _mode(model.levels, j_max)
+    # one step past the window at max(Js) shows where it ends, and a row just
+    # below the next level reaches one step further from its mode
+    span = max(top - n_lo, n_hi - top) + 2
+    e = model.levels(np.arange(1, top + span + 1))
+    modes = e.searchsorted(J, side="right")
+    log_e = np.log(e)
+    start = 0
+    while start < len(J):
+        block = slice(start, start + max(1, _SWEEP_CELLS // (2 * span + 1)))
+        moments = _band_moments(log_e, log_J[block], modes[block], span)
+        if moments is None:
+            if span == _MAX_COMPONENTS:
+                raise ConvergenceError(
+                    f"the sweep up to J={j_max:g} needs more than {span} components on "
+                    f"one side of a peak, over the cap of {_MAX_COMPONENTS} components"
+                )
+            span = min(2 * span, _MAX_COMPONENTS)
+            log_e = np.log(model.levels(np.arange(1, top + span + 1)))
+            continue
+        mean[live[block]], var[live[block]] = moments
+        start = block.stop
+    np.divide(var - mean, mean, out=q, where=mean > 0)
+    return mean, var, q
+
+
+def _band_moments(log_e, log_J, modes, span):
+    """(mean, variance) of the rows J over n = mode - span .. mode + span, or
+    None when _kept would carry some row's window past the band; log_e holds
+    ln e_n at index n - 1."""
+    k = np.arange(1, span + 1)
+    up = log_J[:, None] - log_e[modes[:, None] + k - 1]  # t_(m+k) / t_(m+k-1) = J / e_(m+k)
+    n_down = modes[:, None] - k + 1  # t_(n-1) / t_n = e_n / J
+    inside = n_down >= 1  # steps below n = 0 are zeroed and their terms dropped
+    down = np.where(inside, log_e[np.maximum(n_down, 1) - 1] - log_J[:, None], 0.0)
+    run_up, run_down = np.cumsum(up, axis=1), np.cumsum(down, axis=1)
+    # _kept falls along a row, so its last step decides whether the row's window ends inside
+    if _kept(run_up[:, -1], up[:, -1]).any() or (
+        _kept(run_down[:, -1], down[:, -1]) & (modes > span)
+    ).any():
+        return None
+    w_up, w_down = np.exp(run_up, out=run_up), np.exp(run_down, out=run_down)
+    w_down *= inside
+    powers = np.stack((np.ones(span), k, k * k), axis=1)
+    sums = w_up @ powers + w_down @ (powers * (1.0, -1.0, 1.0))
+    sums[:, 0] += 1.0  # the mode's own term
+    m1, m2 = sums[:, 1] / sums[:, 0], sums[:, 2] / sums[:, 0]
+    return modes + m1, m2 - m1 * m1
 
 
 def _require_quasiharmonic(model: SpectrumModel, what: str) -> QuasiHarmonic:

@@ -237,6 +237,11 @@ _BAD_J_GRID = "; need finite 0 <= START < STOP and an integral COUNT >= 2"
         ("moments --j-grid 0 30 1e400", "bad --j-grid [0.0, 30.0, inf]" + _BAD_J_GRID),
         ("moments --j-grid 0 nan 5", "bad --j-grid [0.0, nan, 5.0]" + _BAD_J_GRID),
         ("moments --j-grid 0 inf 5", "bad --j-grid [0.0, inf, 5.0]" + _BAD_J_GRID),
+        (
+            "spectrum --model mathews-lakshmanan --lambda-tilde 1e-310 --n-max 2",
+            "the levels of MathewsLakshmanan(alpha=1.0, lambda_tilde=1e-310) increase up to "
+            "n = c / (-2b) = 1 / 1e-310, which overflows a float",
+        ),
     ],
 )
 def test_non_finite_and_fractional_inputs_are_named(argv, named, capsys):
@@ -294,6 +299,7 @@ def test_moments_sweep_table():
     header, rows = read_csv(cp.stdout)
     assert header == ["J", "mean", "variance", "mandel_q"]
     assert len(rows) == 5
+    assert cp.stdout.splitlines()[1] == "0,0,0,0"  # the vacuum row is exact
     means = [float(r[1]) for r in rows]
     assert means == sorted(means)  # mean grows with J
     assert all(float(r[1]) >= float(r[2]) for r in rows)  # mean >= variance

@@ -1,20 +1,27 @@
 """Distribution moments, Mandel Q, the mean inversion and the measure check."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from gkstates import (
+    ConvergenceError,
     DomainError,
+    MathewsLakshmanan,
     Morse,
     QuasiHarmonic,
+    SpectrumModel,
+    TruncatedSpectrumError,
     distribution,
     log_rho_sequence,
     mandel_q,
     mandel_q_closed_form,
     mean_closed_form,
+    moment_sweep,
     solve_j,
     variance_closed_form,
     verify_measure_moments,
@@ -25,20 +32,23 @@ UPS_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 J_GRID = np.geomspace(0.1, 500.0, 12)
 
 
-def mpmath_moments(ups, J):
-    """Independent oracle: 40-digit series moments of P_n."""
-    mp.mp.dps = 40
-    log_rho = mp.mpf(0)
-    terms = []
-    for n in range(600):
-        if n > 0:
-            log_rho += mp.log(mp.mpf(n) * (1 + mp.mpf(ups) ** 2 * (n + 1)))
-        terms.append(mp.e ** (n * mp.log(J) - log_rho))
-    norm = mp.fsum(terms)
-    probs = [t / norm for t in terms]
-    mean = mp.fsum(n * p for n, p in enumerate(probs))
-    second = mp.fsum(n * n * p for n, p in enumerate(probs))
-    return float(mean), float(second - mean**2)
+def mpmath_moments(model, J):
+    """Independent oracle: 40-digit mean and variance of P_n, J > 0, summed
+    past the peak until the terms fall below 1e-45 of it."""
+    with mp.workdps(40):
+        c, b = (mp.mpf(v) for v in model.coefficients)
+        J = mp.mpf(J)
+        terms, n, peak = [mp.mpf(1)], 0, None
+        while peak is None or terms[-1] >= peak * mp.mpf(10) ** -45:
+            n += 1
+            e = n * (c + b * (n + 1))
+            if peak is None and e > J:
+                peak = terms[-1]  # t_n / t_(n-1) = J / e_n < 1 from here on
+            terms.append(terms[-1] * J / e)
+        norm = mp.fsum(terms)
+        mean = mp.fsum(k * t for k, t in enumerate(terms)) / norm
+        var = mp.fsum((k - mean) ** 2 * t for k, t in enumerate(terms)) / norm
+        return float(mean), float(var)
 
 
 def test_distribution_vacuum():
@@ -55,9 +65,116 @@ def test_distribution_morse_poisson():
 
 def test_distribution_mean_vs_oracle():
     d = distribution(QuasiHarmonic(alpha=1.0, upsilon=0.1), 5.9)
-    mean_ref, var_ref = mpmath_moments(0.1, 5.9)
+    mean_ref, var_ref = mpmath_moments(QuasiHarmonic(upsilon=0.1), 5.9)
     assert abs(d.mean - mean_ref) <= 1e-12 * mean_ref
     assert abs(d.variance - var_ref) <= 1e-11 * var_ref
+
+
+# (model, --j-grid, rows checked): the README recipe's last row J = 30 = e_24
+# is a tie of the mode rule; the windows of J = 1985 and J = 498.75 reach one
+# step further below or above their modes than the window at max(Js) does;
+# J = 1855 and J = 288.75 are where the variance as fsum(P n^2) - <n>^2 was worst.
+SWEEP_ROWS = [
+    (QuasiHarmonic(upsilon=0.1), (0.0, 30.0, 301), (0.1, 5.9, 17.3, 30.0)),
+    (QuasiHarmonic(upsilon=0.1), (0.0, 2000.0, 401), (5.0, 1855.0, 2000.0)),
+    (QuasiHarmonic(upsilon=0.2), (0.0, 2000.0, 401), (1985.0,)),
+    (Morse(mu=0.5), (0.0, 500.0, 401), (1.25, 288.75, 500.0)),
+    (Morse(mu=1.0), (0.0, 500.0, 401), (498.75,)),
+]
+
+
+@pytest.mark.parametrize("model, grid, rows", SWEEP_ROWS)
+def test_moments_vs_mpmath(model, grid, rows):
+    Js = np.linspace(grid[0], grid[1], grid[2])
+    mean, var, q = moment_sweep(model, Js)
+    for J in rows:
+        (i,) = np.flatnonzero(Js == J)
+        mean_ref, var_ref = mpmath_moments(model, J)
+        d = distribution(model, J)
+        for got_mean, got_var in ((mean[i], var[i]), (d.mean, d.variance)):
+            assert abs(got_mean - mean_ref) <= 2e-15 * mean_ref
+            assert abs(got_var - var_ref) <= 4e-15 * var_ref
+        assert q[i] == (var[i] - mean[i]) / mean[i]
+
+
+@strategies.composite
+def sweep_case(draw):
+    """A model and a J grid from 0, shuffled, with some of its points repeated."""
+    kind = draw(strategies.sampled_from(("quasiharmonic", "morse", "mathews-lakshmanan")))
+    if kind == "morse":
+        model = Morse(mu=draw(strategies.floats(0.3, 4.0)))
+    elif kind == "quasiharmonic":
+        model = QuasiHarmonic(upsilon=draw(strategies.one_of(strategies.just(0.0),
+                                                             strategies.floats(0.01, 2.0))))
+    else:
+        model = MathewsLakshmanan(lambda_tilde=draw(strategies.floats(-8.0, -2e-4)))
+    grid = np.linspace(0.0, draw(strategies.floats(1e-3, 500.0)), draw(strategies.integers(2, 40)))
+    repeats = draw(strategies.lists(strategies.integers(0, len(grid) - 1), max_size=8))
+    Js = np.concatenate((grid, grid[repeats]))
+    return model, Js[draw(strategies.permutations(range(len(Js))))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sweep_case())
+def test_moment_sweep_rows_equal_distribution(case):
+    model, Js = case
+    mean, var, q = moment_sweep(model, Js)
+    for J, row in zip(Js, zip(mean, var, q)):
+        d = distribution(model, float(J))
+        if J == 0.0:
+            assert row == (0.0, 0.0, 0.0)
+            continue
+        assert abs(row[0] - d.mean) <= 2e-15 * d.mean
+        assert abs(row[1] - d.variance) <= 1e-14 * d.variance
+        assert abs(row[2] - d.mandel_q) <= 1e-14 * (d.variance + d.mean) / d.mean
+
+
+class KinkedSpectrum(SpectrumModel):
+    """e_n = n up to n = kink, n^3 above: past the kink the window at a large
+    J is a few levels wide, while below it a Poisson row's window is wide."""
+
+    alpha = 1.0
+    n_max_valid = None
+
+    def __init__(self, kink):
+        self.kink = kink
+
+    def _e_raw(self, n):
+        return np.where(n <= self.kink, n, n**3.0)
+
+
+def test_moment_sweep_widens_its_band():
+    model = KinkedSpectrum(100)
+    Js = np.linspace(0.0, 1000.0, 51)  # 1000 lies past the kink, 20..100 below it
+    mean, var, _ = moment_sweep(model, Js)
+    for J, got_mean, got_var in zip(Js[1:], mean[1:], var[1:]):
+        d = distribution(model, float(J))
+        assert abs(got_mean - d.mean) <= 2e-15 * d.mean
+        assert abs(got_var - d.variance) <= 1e-14 * d.variance
+
+
+def test_moment_sweep_names_the_component_cap():
+    # the Poisson row at J = 3.5e5 needs more than 5000 components above its peak
+    with pytest.raises(ConvergenceError, match="more than 5000 components on one side of a peak"):
+        moment_sweep(KinkedSpectrum(400_000), [3.5e5, 4.5e5])
+
+
+@pytest.mark.parametrize("J, message", [
+    (-1.0, "J must be >= 0, got -1.0"),
+    (math.nan, "J must be >= 0, got nan"),
+    (-math.inf, "J must be >= 0, got -inf"),
+    (math.inf, "J must be finite, got inf"),
+])
+def test_moment_sweep_domain(J, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        moment_sweep(QuasiHarmonic(upsilon=0.1), [0.0, 3.0, J, 5.0])
+
+
+def test_moment_sweep_without_positive_j():
+    for Js in ([], [0.0, 0.0]):
+        assert [a.tolist() for a in moment_sweep(Morse(mu=2.0), Js)] == [[0.0] * len(Js)] * 3
+    with pytest.raises(TruncatedSpectrumError):  # the model is checked all the same
+        moment_sweep(MathewsLakshmanan(lambda_tilde=0.1), [0.0])
 
 
 @pytest.mark.parametrize("ups", UPS_GRID)
