@@ -9,6 +9,11 @@ Every series sum_n x^n / rho_n -- the normalisation, the overlap of two
 states (at x = sqrt(J_a J_b)) and 0F1 (levels d_k = k (b + k - 1)) -- is
 taken over the window that _series_window certifies around its largest term;
 stats.moment_sweep certifies its (J x n) table by the same test, _kept.
+The largest term sits at the mode, the largest n with e_n <= x.  The
+quadratic through e_1 and e_2 guesses it, and one block of levels, the one
+the window is cut from, confirms it; a spectrum that the quadratic does not
+fit falls back to probing levels at the powers of two.  ln t_mode, a sum
+over ln e_1 .. ln e_mode, is only taken where a norm is returned.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ __all__ = [
 # at most 5000 components.
 _TAIL_LOG = 18.0 * math.log(10.0)
 _MAX_COMPONENTS = 5000
-# Quantum numbers probed for the peak: 1..64, then the powers of two.
-_FIRST = np.arange(1, 65)
+# Quantum numbers whose levels every peak search reads first, then the powers
+# of two that the fallback search probes.
+_FIRST = np.arange(1, 129)
 _PROBES = 2 ** np.arange(63, dtype=np.int64)
 
 Levels = Callable[[np.ndarray], np.ndarray]
@@ -66,14 +72,11 @@ def _require_argument(J: float) -> None:
         raise DomainError(f"J must be finite, got {J}")
 
 
-def _positive_levels(levels: Levels, k: np.ndarray) -> np.ndarray:
-    """e_k over an array of quantum numbers k >= 1, each of which must be positive."""
-    e = levels(k)
+def _positive(e: np.ndarray, lo: int) -> np.ndarray:
+    """e, the levels e_lo, e_(lo+1), ..., each of which must be positive."""
     if not (e > 0).all():
         i = int(np.argmin(e > 0))
-        raise DegenerateSpectrumError(
-            f"e_{int(k[i])} = {e[i]} is not positive; rho_n is undefined"
-        )
+        raise DegenerateSpectrumError(f"e_{lo + i} = {e[i]} is not positive; rho_n is undefined")
     return e
 
 
@@ -83,18 +86,44 @@ class _Window(NamedTuple):
     n: np.ndarray  # the quantum numbers n_lo .. n_hi
     e: np.ndarray  # their levels e_n
     log_terms: np.ndarray  # ln(t_n / t_mode) <= 0, t_mode the largest term
-    log_peak: float  # ln t_mode
+    mode: int  # the largest n with e_n <= x
+    levels: Levels
+    x: float
+
+    def log_peak(self) -> float:
+        """ln t_mode = mode ln x - ln rho_mode."""
+        if not self.mode:
+            return 0.0
+        log_rho = np.log(_positive(self.levels(np.arange(1, self.mode + 1)), 1)).sum()
+        return self.mode * math.log(self.x) - float(log_rho)
 
     def log_sum(self) -> float:
         """ln sum_n t_n."""
-        return self.log_peak + math.log(np.exp(self.log_terms).sum())
+        return self.log_peak() + math.log(np.exp(self.log_terms).sum())
 
 
-def _mode(levels: Levels, x: float) -> int:
-    """Largest n with e_n <= x: t_n / t_(n-1) = x / e_n puts the largest term there."""
-    e = levels(_FIRST)
-    if e[-1] > x:
-        return int(e.searchsorted(x, side="right"))
+def _quadratic_mode(first: np.ndarray, x: float) -> tuple[int, float] | None:
+    """(n, s) from the quadratic e_n = a n + b n^2 through e_1 = first[0] and
+    e_2 = first[1]: n is the largest quantum number with a n + b n^2 <= x, and
+    s = x / (e_(n+1) - e_n) the variance of the terms around t_n.  None where
+    the quadratic does not increase (b < 0 or e_1 <= 0) or n >= 2^53."""
+    e1 = float(first[0])
+    b = 0.5 * float(first[1]) - e1
+    a = e1 - b
+    if not (e1 > 0.0 and b >= 0.0):
+        return None
+    n = 2.0 * x / (a + math.sqrt(a * a + 4.0 * b * x))  # the root, free of cancellation
+    if not n < 2.0**53:
+        return None
+    n = int(n)
+    return n, x / (a + b * (2 * n + 1))
+
+
+def _probed_mode(levels: Levels, x: float, first: np.ndarray) -> int:
+    """Largest n with e_n <= x, found from the levels alone: first holds
+    e_1 .. e_128, and past them the powers of two bracket n for a 64-ary search."""
+    if first[-1] > x:
+        return int(first.searchsorted(x, side="right"))
     e = levels(_PROBES)
     k = int(e.searchsorted(x, side="right"))
     if k == len(_PROBES):
@@ -109,6 +138,13 @@ def _mode(levels: Levels, x: float) -> int:
         i = int(levels(pts).searchsorted(x, side="right")) - 1
         lo, hi = int(pts[i]), int(pts[i + 1]) if i + 1 < len(pts) else hi
     return lo
+
+
+def _first_span(variance: float) -> int:
+    """Levels read on each side of the mode at first: ten standard deviations
+    of the terms and a margin, which reaches the 1e-18 cut of every built-in
+    spectrum in one pass."""
+    return min(16 + int(10.0 * math.sqrt(variance)), _MAX_COMPONENTS)
 
 
 def _kept(run: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -138,15 +174,32 @@ def _cut(steps: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _series_window(levels: Levels, x: float) -> _Window:
     """The terms of sum_n x^n / rho_n, rho_n = e_1 ... e_n, that carry all
-    but 1e-18 of its largest term on either side (x >= 0, levels increasing)."""
+    but 1e-18 of its largest term on either side (x >= 0, levels increasing).
+
+    The block of levels read around _quadratic_mode's guess confirms the mode
+    when it brackets x; otherwise _probed_mode searches for it.
+    """
     if x == 0.0:
-        return _Window(np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1), 0.0)
+        return _Window(np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1), 0, levels, x)
     log_x = math.log(x)
-    mode = _mode(levels, x)
-    span = min(32 + 8 * math.isqrt(mode), _MAX_COMPONENTS)
+    first = levels(_FIRST)
+    guess = _quadratic_mode(first, x)
+    if guess is None:  # the Poisson variance, mode, is the widest of b >= 0
+        mode = _probed_mode(levels, x, first)
+        span, confirmed = _first_span(mode), True
+    else:
+        mode, variance = guess
+        span, confirmed = _first_span(variance), False
     while True:
-        lo = max(mode - span, 1)  # the block holds e_lo .. e_(mode+span)
-        e = _positive_levels(levels, np.arange(lo, mode + span + 1))
+        lo, hi = max(mode - span, 1), mode + span  # the block holds e_lo .. e_hi
+        e = _positive(first[lo - 1 : hi] if hi <= len(first) else levels(np.arange(lo, hi + 1)), lo)
+        if not confirmed:
+            k = int(e.searchsorted(x, side="right"))
+            if k == len(e) or (k == 0 and lo > 1):  # x lies outside the block
+                mode = _probed_mode(levels, x, first)
+                span, confirmed = _first_span(mode), True
+                continue
+            mode, confirmed = lo - 1 + k, True
         log_e = np.log(e)
         tail, tail_done = _cut(log_x - log_e[mode - lo + 1 :])
         head, head_done = _cut(log_e[: mode - lo + 1][::-1] - log_x)
@@ -164,15 +217,14 @@ def _series_window(levels: Levels, x: float) -> _Window:
             f"the series at x={x:g} needs {n_hi - n_lo + 1} components around its "
             f"peak n={mode}, over the cap of {_MAX_COMPONENTS} components"
         )
-    log_rho_mode = float(log_e[: mode - lo + 1].sum())
-    if lo > 1:
-        log_rho_mode += float(np.log(_positive_levels(levels, np.arange(1, lo))).sum())
     e_window = e[n_lo - lo : n_hi - lo + 1] if n_lo else np.concatenate(([0.0], e[:n_hi]))
     return _Window(
         np.arange(n_lo, n_hi + 1),
         e_window,
         np.concatenate((head[::-1], [0.0], tail)),
-        mode * log_x - log_rho_mode,
+        mode,
+        levels,
+        x,
     )
 
 
@@ -180,7 +232,7 @@ def log_rho_sequence(model: SpectrumModel, n_max: int) -> np.ndarray:
     """Array of ln rho_n for n = 0 .. n_max (rho_0 = 1)."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    e = _positive_levels(model.levels, np.arange(1, n_max + 1))
+    e = _positive(model.levels(np.arange(1, n_max + 1)), 1)
     return np.concatenate(([0.0], np.cumsum(np.log(e))))
 
 
@@ -287,7 +339,7 @@ def build_state(model: SpectrumModel, J: float, gamma: float = 0.0) -> CoherentS
         n=window.n,
         log_weights=window.log_terms - lse,
         e_values=window.e,
-        log_norm_sq=window.log_peak + lse,
+        log_norm_sq=window.log_peak() + lse,
     )
 
 
@@ -304,7 +356,7 @@ def overlap(state_a: CoherentState, state_b: CoherentState) -> complex:
             f"{state_a.model!r} vs {state_b.model!r}"
         )
     window = _series_window(state_a.model.levels, math.sqrt(state_a.J * state_b.J))
-    log_scale = window.log_peak - 0.5 * (state_a.log_norm_sq + state_b.log_norm_sq)
+    log_scale = window.log_peak() - 0.5 * (state_a.log_norm_sq + state_b.log_norm_sq)
     mag = np.exp(window.log_terms + log_scale)
     dgamma = state_a.gamma - state_b.gamma
     return complex(np.sum(mag * np.exp(-1j * dgamma * window.e)))

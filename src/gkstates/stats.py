@@ -15,11 +15,9 @@ import numpy as np
 from .coherent import (
     _MAX_COMPONENTS,
     _kept,
-    _mode,
     _require_argument,
     _require_constructible,
     _series_window,
-    build_state,
     log_rho_sequence,
 )
 from .errors import ConvergenceError, DomainError
@@ -53,14 +51,18 @@ class WeightingDistribution:
 def distribution(model: SpectrumModel, J: float) -> WeightingDistribution:
     """P_n = J^n / (N^2(J) rho_n) with moments by direct summation.
 
-    probs is indexed by n from 0; levels below the state's window hold exact zeros.
+    probs is indexed by n from 0; levels below the state's window hold exact
+    zeros.  The weights are build_state's, without its norm N^2(J).
     """
-    state = build_state(model, J, 0.0)
-    weights, n = state.weights, state.n
+    _require_constructible(model)
+    _require_argument(J)
+    window = _series_window(model.levels, J)
+    lse = math.log(np.exp(window.log_terms).sum())
+    weights, n = np.exp(window.log_terms - lse), window.n
     probs = np.zeros(int(n[-1]) + 1)
-    probs[n] = weights
-    mean = math.fsum(weights * n)
-    var = math.fsum(weights * (n - mean) ** 2)
+    probs[int(n[0]) :] = weights
+    mean = math.fsum((weights * n).tolist())
+    var = math.fsum((weights * (n - mean) ** 2).tolist())
     q = (var - mean) / mean if mean > 0 else 0.0
     return WeightingDistribution(probs=probs, mean=mean, variance=var, mandel_q=q)
 
@@ -92,8 +94,7 @@ def moment_sweep(model: SpectrumModel, Js) -> tuple[np.ndarray, np.ndarray, np.n
     J = Js[live]
     log_J, j_max = np.log(J), float(J.max())
     window = _series_window(model.levels, j_max)
-    n_lo, n_hi = int(window.n[0]), int(window.n[-1])
-    top = _mode(model.levels, j_max)
+    n_lo, n_hi, top = int(window.n[0]), int(window.n[-1]), window.mode
     # one step past the window at max(Js) shows where it ends, and a row just
     # below the next level reaches one step further from its mode
     span = max(top - n_lo, n_hi - top) + 2

@@ -30,6 +30,7 @@ from gkstates import (
     overlap,
     variance_closed_form,
 )
+from gkstates.coherent import _FIRST, _probed_mode, _series_window
 
 
 class GeometricSpectrum(SpectrumModel):
@@ -105,6 +106,38 @@ def test_rho_degenerate_spectrum():
         log_rho_sequence(DegenerateSpectrum(), 3)
     with pytest.raises(DegenerateSpectrumError):  # mu^2 underflows to 0
         log_rho_closed(Morse(mu=1e-200), 3)
+
+
+class QuadraticSpectrum(SpectrumModel):
+    """e_n = n (c + b (n + 1)) for any c > 0 and b >= 0."""
+
+    alpha = 1.0
+
+    def __init__(self, c, b):
+        self._coefficients = (c, b)
+
+    @property
+    def coefficients(self):
+        return self._coefficients
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    strategies.floats(0.01, 10.0),
+    strategies.one_of(strategies.just(0.0), strategies.floats(1e-6, 10.0)),
+    strategies.integers(1, 3000),
+    strategies.sampled_from(("inside", "level", "below", "above")),
+    strategies.floats(0.0, 1.0),
+)
+def test_peak_search_finds_the_largest_level_not_above_x(c, b, k, where, fraction):
+    # x at a random point below e_k, at e_k itself, or one ulp either side
+    model = QuadraticSpectrum(c, b)
+    e = model.levels(np.arange(1, k + 2))
+    x = {"inside": fraction * e[k - 1], "level": e[k - 1],
+         "below": np.nextafter(e[k - 1], -np.inf), "above": np.nextafter(e[k - 1], np.inf)}[where]
+    largest = int((e <= x).sum())  # e_(k+1) > x: the levels increase
+    assert _series_window(model.levels, float(x)).mode == largest
+    assert _probed_mode(model.levels, float(x), model.levels(_FIRST)) == largest
 
 
 def brute_force_log_norm_sq(model, J, n_terms=400):

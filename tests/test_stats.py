@@ -1,5 +1,6 @@
 """Distribution moments, Mandel Q, the mean inversion and the measure check."""
 
+import hashlib
 import math
 import re
 
@@ -250,6 +251,61 @@ def test_solve_j_morse_closed_form():
     # Poisson mean J/mu^2 -> J = n0 mu^2
     assert abs(solve_j(Morse(mu=3.0), 2.0) - 18.0) <= 1e-6
     assert solve_j(Morse(mu=3.0), 0.0) == 0.0
+
+
+# Bit patterns that solve_j and distribution keep whatever way the peak is
+# found: the figures calibration points, the wide-state solves, the README's
+# level-tie row
+# (J = 30 = e_24 at upsilon = 0.1), a window far from n = 0 (Morse mu = 0.5,
+# J = 300) and the widest Poisson window of the benchmark (J = 3000).
+SOLVE_J_BITS = [
+    (QuasiHarmonic(upsilon=0.1), 5, "0x1.564218d1dd334p+2"),
+    (QuasiHarmonic(upsilon=0.1), 10, "0x1.6623a12f04002p+3"),
+    (QuasiHarmonic(upsilon=0.1), 15, "0x1.188748e162998p+4"),
+    (QuasiHarmonic(upsilon=0.1), 20, "0x1.85f3688ff5532p+4"),
+    (QuasiHarmonic(upsilon=0.2), 5, "0x1.97e4d0227ffffp+2"),
+    (QuasiHarmonic(upsilon=0.2), 10, "0x1.d6e417650d19cp+3"),
+    (QuasiHarmonic(upsilon=0.2), 15, "0x1.90ad81594e66ap+4"),
+    (QuasiHarmonic(upsilon=0.2), 20, "0x1.2ae3a29da3f66p+5"),
+    (QuasiHarmonic(upsilon=0.5), 5, "0x1.ab77b2516a400p+3"),
+    (QuasiHarmonic(upsilon=0.5), 10, "0x1.383bf25e77400p+5"),
+    (QuasiHarmonic(upsilon=0.5), 15, "0x1.34b1655d96b00p+6"),
+    (QuasiHarmonic(upsilon=0.5), 20, "0x1.ff3bfdbb38590p+6"),
+    (QuasiHarmonic(upsilon=1.0), 5, "0x1.3050883c5f000p+5"),
+    (QuasiHarmonic(upsilon=1.0), 10, "0x1.f65236b08b7a0p+6"),
+    (QuasiHarmonic(upsilon=1.0), 15, "0x1.07184097dd480p+8"),
+    (QuasiHarmonic(upsilon=1.0), 20, "0x1.c29a24d1c39a2p+8"),
+    (QuasiHarmonic(upsilon=0.1), 200, "0x1.2d99f3a708b91p+9"),
+    (Morse(mu=0.5), 200, "0x1.8ffffffffbdc0p+5"),
+    (MathewsLakshmanan(lambda_tilde=-0.5), 200, "0x1.411ab8288ba66p+13"),
+    (QuasiHarmonic(upsilon=0.1), 500, "0x1.77f760cd1ac8ap+11"),
+    (Morse(mu=0.5), 500, "0x1.f3fffffffe318p+6"),
+    (MathewsLakshmanan(lambda_tilde=-0.5), 500, "0x1.eda7af360e3cdp+15"),
+    (QuasiHarmonic(upsilon=0.1), 1000, "0x1.5839eecf4286ap+13"),
+    (Morse(mu=0.5), 1000, "0x1.f3ffffffffa1ap+7"),
+    (MathewsLakshmanan(lambda_tilde=-0.5), 1000, "0x1.eaf7abe6b4e26p+17"),
+]
+DISTRIBUTION_BITS = [
+    (QuasiHarmonic(upsilon=0.1), 30.0, 75,
+     "fb518c9852afa8c41b67abfeeebc6cc3dda976727169d9300ae247b32bf91e64",
+     "0x1.7dd7b9852b7d3p+4", "0x1.41268e7d5e6b5p+4"),
+    (Morse(mu=0.5), 300.0, 1536,
+     "a809a79289b14a6ba798dffa25d1d581f6bcab3b58bc16d0c77d2ead9dd7611b",
+     "0x1.2bfffffffffffp+10", "0x1.2c00000000003p+10"),
+    (QuasiHarmonic(upsilon=0.0), 3000.0, 3525,
+     "78c3500275bc382476162b6d6f3a175da4f68dd9b642792293c266a572faa7f1",
+     "0x1.76ffffffffffep+11", "0x1.76ffffffffffap+11"),
+]
+
+
+def test_solve_j_and_distribution_keep_their_bits():
+    for model, n0, bits in SOLVE_J_BITS:
+        assert solve_j(model, n0).hex() == bits, (model, n0)
+    for model, J, size, probs_sha256, mean, variance in DISTRIBUTION_BITS:
+        d = distribution(model, J)
+        assert len(d.probs) == size
+        assert hashlib.sha256(d.probs.tobytes()).hexdigest() == probs_sha256
+        assert (d.mean.hex(), d.variance.hex()) == (mean, variance)
 
 
 def test_measure_rhs_identity():
