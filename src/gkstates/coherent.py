@@ -6,21 +6,23 @@ levels e_1 ... e_n and N^2(J) = sum_n J^n / rho_n.  All weights are carried
 as logarithms; exponentiation happens once, after a max subtraction.
 
 Every series sum_n x^n / rho_n -- the normalisation, the overlap of two
-states (at x = sqrt(J_a J_b)) and 0F1 (levels d_k = k (b + k - 1)) -- is
-taken over the window that _series_window certifies around its largest term;
+states (at x = sqrt(J_a J_b)) and 0F1 -- runs over quadratic levels
+e_n = n (c + b (n + 1)), b >= 0, and is given by the two coefficients
+(c, b): a model's own, and (b0 - 2, 1) for 0F1(b0; z).  It is taken over the
+window that _series_window certifies around its largest term;
 stats.moment_sweep certifies its (J x n) table by the same test, _kept.
-The largest term sits at the mode, the largest n with e_n <= x.  The
-quadratic through e_1 and e_2 guesses it, and one block of levels, the one
-the window is cut from, confirms it; a spectrum that the quadratic does not
-fit falls back to probing levels at the powers of two.  ln t_mode, a sum
-over ln e_1 .. ln e_mode, is only taken where a norm is returned.
+The largest term sits at the mode, the largest n with e_n <= x: the root of
+a n + b n^2 = x with a = c + b, confirmed on the block of levels the window
+is cut from.  A root of 2^53 or more raises the component cap's
+ConvergenceError.  ln t_mode, a sum over ln e_1 .. ln e_mode, is only taken
+where a norm is returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
     ModelMismatchError,
     TruncatedSpectrumError,
 )
-from .spectrum import SpectrumModel
+from .spectrum import SpectrumModel, _quadratic_levels
 
 __all__ = [
     "CoherentState",
@@ -49,12 +51,6 @@ __all__ = [
 # at most 5000 components.
 _TAIL_LOG = 18.0 * math.log(10.0)
 _MAX_COMPONENTS = 5000
-# Quantum numbers whose levels every peak search reads first, then the powers
-# of two that the fallback search probes.
-_FIRST = np.arange(1, 129)
-_PROBES = 2 ** np.arange(63, dtype=np.int64)
-
-Levels = Callable[[np.ndarray], np.ndarray]
 
 
 def _require_constructible(model: SpectrumModel) -> None:
@@ -72,14 +68,6 @@ def _require_argument(J: float) -> None:
         raise DomainError(f"J must be finite, got {J}")
 
 
-def _positive(e: np.ndarray, lo: int) -> np.ndarray:
-    """e, the levels e_lo, e_(lo+1), ..., each of which must be positive."""
-    if not (e > 0).all():
-        i = int(np.argmin(e > 0))
-        raise DegenerateSpectrumError(f"e_{lo + i} = {e[i]} is not positive; rho_n is undefined")
-    return e
-
-
 class _Window(NamedTuple):
     """Terms t_n = x^n / rho_n of a series over n = n_lo .. n_hi."""
 
@@ -87,57 +75,20 @@ class _Window(NamedTuple):
     e: np.ndarray  # their levels e_n
     log_terms: np.ndarray  # ln(t_n / t_mode) <= 0, t_mode the largest term
     mode: int  # the largest n with e_n <= x
-    levels: Levels
     x: float
+    c: float
+    b: float
 
     def log_peak(self) -> float:
         """ln t_mode = mode ln x - ln rho_mode."""
         if not self.mode:
             return 0.0
-        log_rho = np.log(_positive(self.levels(np.arange(1, self.mode + 1)), 1)).sum()
+        log_rho = np.log(_quadratic_levels(self.c, self.b, np.arange(1, self.mode + 1))).sum()
         return self.mode * math.log(self.x) - float(log_rho)
 
     def log_sum(self) -> float:
         """ln sum_n t_n."""
         return self.log_peak() + math.log(np.exp(self.log_terms).sum())
-
-
-def _quadratic_mode(first: np.ndarray, x: float) -> tuple[int, float] | None:
-    """(n, s) from the quadratic e_n = a n + b n^2 through e_1 = first[0] and
-    e_2 = first[1]: n is the largest quantum number with a n + b n^2 <= x, and
-    s = x / (e_(n+1) - e_n) the variance of the terms around t_n.  None where
-    the quadratic does not increase (b < 0 or e_1 <= 0) or n >= 2^53."""
-    e1 = float(first[0])
-    b = 0.5 * float(first[1]) - e1
-    a = e1 - b
-    if not (e1 > 0.0 and b >= 0.0):
-        return None
-    n = 2.0 * x / (a + math.sqrt(a * a + 4.0 * b * x))  # the root, free of cancellation
-    if not n < 2.0**53:
-        return None
-    n = int(n)
-    return n, x / (a + b * (2 * n + 1))
-
-
-def _probed_mode(levels: Levels, x: float, first: np.ndarray) -> int:
-    """Largest n with e_n <= x, found from the levels alone: first holds
-    e_1 .. e_128, and past them the powers of two bracket n for a 64-ary search."""
-    if first[-1] > x:
-        return int(first.searchsorted(x, side="right"))
-    e = levels(_PROBES)
-    k = int(e.searchsorted(x, side="right"))
-    if k == len(_PROBES):
-        raise DomainError(
-            f"the largest term of sum x^n / rho_n at x={x:g} lies beyond n=2^62, where "
-            f"e_n = {e[-1]:.6g} is still below x, or the series diverges at x (outside "
-            "its radius of convergence)"
-        )
-    lo, hi = int(_PROBES[k - 1]), int(_PROBES[k])
-    while hi - lo > 1:
-        pts = np.arange(lo, hi, max(1, (hi - lo) // 64))
-        i = int(levels(pts).searchsorted(x, side="right")) - 1
-        lo, hi = int(pts[i]), int(pts[i + 1]) if i + 1 < len(pts) else hi
-    return lo
 
 
 def _first_span(variance: float) -> int:
@@ -172,34 +123,36 @@ def _cut(steps: np.ndarray) -> tuple[np.ndarray, bool]:
     return run[:stop], True
 
 
-def _series_window(levels: Levels, x: float) -> _Window:
-    """The terms of sum_n x^n / rho_n, rho_n = e_1 ... e_n, that carry all
-    but 1e-18 of its largest term on either side (x >= 0, levels increasing).
+def _series_window(c: float, b: float, x: float) -> _Window:
+    """The terms of sum_n x^n / rho_n over the levels e_n = n (c + b (n + 1)),
+    rho_n = e_1 ... e_n, that carry all but 1e-18 of its largest term on
+    either side (x >= 0, b >= 0).
 
-    The block of levels read around _quadratic_mode's guess confirms the mode
-    when it brackets x; otherwise _probed_mode searches for it.
+    e_1 = c + 2b > 0 makes every level positive and increasing.  The mode is
+    guessed as the root of a n + b n^2 = x, a = c + b, and confirmed by a
+    binary search of the block of levels read around the guess.
     """
+    c, b = float(c), float(b)  # integer coefficients would give integer levels
     if x == 0.0:
-        return _Window(np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1), 0, levels, x)
+        return _Window(np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1), 0, x, c, b)
+    if not c + 2.0 * b > 0.0:
+        raise DegenerateSpectrumError(f"e_1 = {c + 2.0 * b} is not positive; rho_n is undefined")
+    a = c + b
+    h = math.hypot(a, 2.0 * math.sqrt(b) * math.sqrt(x))  # sqrt(a^2 + 4 b x), free of overflow
+    root = (h - a) / (2.0 * b) if a < 0.0 else x / (0.5 * (a + h))  # free of cancellation
+    if not root < 2.0**53:  # the window, about sqrt(root) wide, is far over the cap
+        raise ConvergenceError(
+            f"the series at x={x:g} needs more than {_MAX_COMPONENTS} components around its "
+            f"peak n={root:.6g}, over the cap of {_MAX_COMPONENTS} components"
+        )
+    mode, confirmed = int(root), False
+    span = _first_span(x / (a + b * (2 * mode + 1)))  # the variance of the terms
     log_x = math.log(x)
-    first = levels(_FIRST)
-    guess = _quadratic_mode(first, x)
-    if guess is None:  # the Poisson variance, mode, is the widest of b >= 0
-        mode = _probed_mode(levels, x, first)
-        span, confirmed = _first_span(mode), True
-    else:
-        mode, variance = guess
-        span, confirmed = _first_span(variance), False
     while True:
         lo, hi = max(mode - span, 1), mode + span  # the block holds e_lo .. e_hi
-        e = _positive(first[lo - 1 : hi] if hi <= len(first) else levels(np.arange(lo, hi + 1)), lo)
+        e = _quadratic_levels(c, b, np.arange(lo, hi + 1))
         if not confirmed:
-            k = int(e.searchsorted(x, side="right"))
-            if k == len(e) or (k == 0 and lo > 1):  # x lies outside the block
-                mode = _probed_mode(levels, x, first)
-                span, confirmed = _first_span(mode), True
-                continue
-            mode, confirmed = lo - 1 + k, True
+            mode, confirmed = lo - 1 + int(e.searchsorted(x, side="right")), True
         log_e = np.log(e)
         tail, tail_done = _cut(log_x - log_e[mode - lo + 1 :])
         head, head_done = _cut(log_e[: mode - lo + 1][::-1] - log_x)
@@ -223,8 +176,9 @@ def _series_window(levels: Levels, x: float) -> _Window:
         e_window,
         np.concatenate((head[::-1], [0.0], tail)),
         mode,
-        levels,
         x,
+        c,
+        b,
     )
 
 
@@ -232,7 +186,10 @@ def log_rho_sequence(model: SpectrumModel, n_max: int) -> np.ndarray:
     """Array of ln rho_n for n = 0 .. n_max (rho_0 = 1)."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    e = _positive(model.levels(np.arange(1, n_max + 1)), 1)
+    e = model.levels(np.arange(1, n_max + 1))
+    if not (e > 0).all():
+        i = int(np.argmin(e > 0))
+        raise DegenerateSpectrumError(f"e_{i + 1} = {e[i]} is not positive; rho_n is undefined")
     return np.concatenate(([0.0], np.cumsum(np.log(e))))
 
 
@@ -282,7 +239,7 @@ def log_normalization_sq(model: SpectrumModel, J: float) -> float:
     """ln N^2(J) = ln sum_n J^n / rho_n by direct series summation."""
     _require_constructible(model)
     _require_argument(J)
-    return _series_window(model.levels, J).log_sum()
+    return _series_window(*model.coefficients, J).log_sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +287,7 @@ def build_state(model: SpectrumModel, J: float, gamma: float = 0.0) -> CoherentS
     _require_argument(J)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
-    window = _series_window(model.levels, J)
+    window = _series_window(*model.coefficients, J)
     lse = math.log(np.exp(window.log_terms).sum())  # ln(N^2 / t_mode)
     return CoherentState(
         model=model,
@@ -355,7 +312,7 @@ def overlap(state_a: CoherentState, state_b: CoherentState) -> complex:
             f"cannot overlap states on different models: "
             f"{state_a.model!r} vs {state_b.model!r}"
         )
-    window = _series_window(state_a.model.levels, math.sqrt(state_a.J * state_b.J))
+    window = _series_window(*state_a.model.coefficients, math.sqrt(state_a.J * state_b.J))
     log_scale = window.log_peak() - 0.5 * (state_a.log_norm_sq + state_b.log_norm_sq)
     mag = np.exp(window.log_terms + log_scale)
     dgamma = state_a.gamma - state_b.gamma

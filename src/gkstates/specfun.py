@@ -1,10 +1,11 @@
 """Special-function kernel: confluent 0F1, modified Bessel K.
 
 Everything here is a pure function of its arguments.  The 0F1 series is
-summed in log space over the certified window of the coherent-state series
-kernel, so that large arguments (z of order 1e5 and beyond) never overflow
-intermediate terms; ln K_nu is evaluated for a whole array of x at once from
-its integral representation (DLMF 10.32.9)
+the coherent-state series of the quadratic levels (c, b) = (b - 2, 1),
+summed in log space over its certified window, so that large arguments
+(z of order 1e5 and beyond) never overflow intermediate terms; ln K_nu is
+evaluated for a whole array of x at once from its integral representation
+(DLMF 10.32.9)
 
     K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt
 
@@ -33,13 +34,14 @@ def log_hyp0f1(b: float, z: float) -> float:
     """ln 0F1(b; z) for b > 0, z >= 0.
 
     0F1(b; z) = sum_k z^k / ((b)_k k!) is the series sum_k z^k / rho_k over
-    the levels d_k = k (b + k - 1), summed over its certified window.
+    the levels d_k = k (b - 1 + k), the quadratic (c, b) = (b - 2, 1), summed
+    over its certified window.
     """
     if not b > 0:
         raise DomainError(f"hyp0f1 requires b > 0, got {b}")
-    if not z >= 0:
-        raise DomainError(f"hyp0f1 requires z >= 0, got {z}")
-    return _series_window(lambda k: k * (b - 1.0 + k), z).log_sum()
+    if not 0 <= z < math.inf:
+        raise DomainError(f"hyp0f1 requires finite z >= 0, got {z}")
+    return _series_window(b - 2.0, 1.0, z).log_sum()
 
 
 # The t-grid ends where the widest integrand is 60 nats below its peak.

@@ -23,6 +23,13 @@ __all__ = [
 ]
 
 
+def _quadratic_levels(c, b, n):
+    """e_n = n (c + b (n + 1)) for a number or, elementwise, for an integer array."""
+    # at b = 0, n * c equals n * (c + b * (n + 1.0)) to the bit in one array
+    # operation instead of four
+    return n * (c + b * (n + 1.0)) if b else n * c
+
+
 class SpectrumModel:
     """Base class: a parameterised rule n -> (E_n, e_n), e_n = n (c + b (n + 1))."""
 
@@ -72,10 +79,7 @@ class SpectrumModel:
 
     def _e_raw(self, n):
         """e_n for a number or, elementwise, for an integer array."""
-        c, b = self.coefficients
-        # at b = 0, n * c equals n * (c + b * (n + 1.0)) to the bit in one
-        # array operation instead of four
-        return n * (c + b * (n + 1.0)) if b else n * c
+        return _quadratic_levels(*self.coefficients, n)
 
     def validate_n(self, n: int) -> None:
         if n < 0:
@@ -95,8 +99,8 @@ class SpectrumModel:
         """Dimensionless levels e_n over an integer array of quantum numbers."""
         n = np.asarray(n)
         if n.size:
-            self.validate_n(int(n.min()))
-            self.validate_n(int(n.max()))
+            lo, hi = int(n.min()), int(n.max())
+            self.validate_n(hi if lo >= 0 else lo)  # one check, one n_max_valid
         return np.asarray(self._e_raw(n), dtype=float)
 
     def energy(self, n: int) -> float:

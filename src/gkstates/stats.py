@@ -1,8 +1,10 @@
 """Weighting distribution, moments, Mandel Q, and the measure-moment check.
 
-Closed forms for the quasi-harmonic model are expressed through ratios of
-confluent 0F1 values; everything also has a direct series route through the
-state weights, and the two are cross-checked in the test suite.
+Every model's levels are e_n = n (c + b (n + 1)), and the closed forms are
+keyed by (c, b): for b > 0 they are ratios of confluent 0F1 values at
+a = c/b + 2 and z = J/b, and at b = 0 the Poisson limit <n> = Var(n) = J/c.
+Everything also has a direct series route through the state weights, and
+the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
-    _MAX_COMPONENTS,
     _kept,
     _require_argument,
     _require_constructible,
@@ -22,7 +23,7 @@ from .coherent import (
 )
 from .errors import ConvergenceError, DomainError
 from .specfun import log_bessel_k, log_hyp0f1
-from .spectrum import QuasiHarmonic, SpectrumModel
+from .spectrum import SpectrumModel
 
 __all__ = [
     "WeightingDistribution",
@@ -56,7 +57,7 @@ def distribution(model: SpectrumModel, J: float) -> WeightingDistribution:
     """
     _require_constructible(model)
     _require_argument(J)
-    window = _series_window(model.levels, J)
+    window = _series_window(*model.coefficients, J)
     lse = math.log(np.exp(window.log_terms).sum())
     weights, n = np.exp(window.log_terms - lse), window.n
     probs = np.zeros(int(n[-1]) + 1)
@@ -77,9 +78,9 @@ def moment_sweep(model: SpectrumModel, Js) -> tuple[np.ndarray, np.ndarray, np.n
     One (J x n) table stands in for a state per J.  Row J is anchored at its
     own mode m, the largest n with e_n <= J, and holds ln(t_n / t_m) as the
     running sums of the log-ratios that _series_window steps by, over the
-    band n = m - span .. m + span.  The band starts two steps wider than the
-    window at max(Js) and doubles, as _series_window's span does, until
-    _kept ends every row inside it.  The moments are taken about each row's
+    band n = m - span .. m + span, two steps wider than the window at
+    max(Js).  _kept must end every row inside the band; a row that it does
+    not raises ConvergenceError.  The moments are taken about each row's
     mode; a J = 0 row is (0, 0, 0).
     """
     _require_constructible(model)
@@ -93,7 +94,7 @@ def moment_sweep(model: SpectrumModel, Js) -> tuple[np.ndarray, np.ndarray, np.n
         return mean, var, q
     J = Js[live]
     log_J, j_max = np.log(J), float(J.max())
-    window = _series_window(model.levels, j_max)
+    window = _series_window(*model.coefficients, j_max)
     n_lo, n_hi, top = int(window.n[0]), int(window.n[-1]), window.mode
     # one step past the window at max(Js) shows where it ends, and a row just
     # below the next level reaches one step further from its mode
@@ -101,29 +102,18 @@ def moment_sweep(model: SpectrumModel, Js) -> tuple[np.ndarray, np.ndarray, np.n
     e = model.levels(np.arange(1, top + span + 1))
     modes = e.searchsorted(J, side="right")
     log_e = np.log(e)
-    start = 0
-    while start < len(J):
-        block = slice(start, start + max(1, _SWEEP_CELLS // (2 * span + 1)))
-        moments = _band_moments(log_e, log_J[block], modes[block], span)
-        if moments is None:
-            if span == _MAX_COMPONENTS:
-                raise ConvergenceError(
-                    f"the sweep up to J={j_max:g} needs more than {span} components on "
-                    f"one side of a peak, over the cap of {_MAX_COMPONENTS} components"
-                )
-            span = min(2 * span, _MAX_COMPONENTS)
-            log_e = np.log(model.levels(np.arange(1, top + span + 1)))
-            continue
-        mean[live[block]], var[live[block]] = moments
-        start = block.stop
+    rows = max(1, _SWEEP_CELLS // (2 * span + 1))
+    for start in range(0, len(J), rows):
+        block = slice(start, start + rows)
+        mean[live[block]], var[live[block]] = _band_moments(log_e, log_J[block], modes[block], span)
     np.divide(var - mean, mean, out=q, where=mean > 0)
     return mean, var, q
 
 
 def _band_moments(log_e, log_J, modes, span):
-    """(mean, variance) of the rows J over n = mode - span .. mode + span, or
-    None when _kept would carry some row's window past the band; log_e holds
-    ln e_n at index n - 1."""
+    """(mean, variance) of the rows J over n = mode - span .. mode + span;
+    log_e holds ln e_n at index n - 1.  Raises ConvergenceError where _kept
+    would carry some row's window past the band."""
     k = np.arange(1, span + 1)
     up = log_J[:, None] - log_e[modes[:, None] + k - 1]  # t_(m+k) / t_(m+k-1) = J / e_(m+k)
     n_down = modes[:, None] - k + 1  # t_(n-1) / t_n = e_n / J
@@ -134,7 +124,9 @@ def _band_moments(log_e, log_J, modes, span):
     if _kept(run_up[:, -1], up[:, -1]).any() or (
         _kept(run_down[:, -1], down[:, -1]) & (modes > span)
     ).any():
-        return None
+        raise ConvergenceError(
+            f"a row of the sweep reaches past its band of {span} components on one side of its peak"
+        )
     w_up, w_down = np.exp(run_up, out=run_up), np.exp(run_down, out=run_down)
     w_down *= inside
     powers = np.stack((np.ones(span), k, k * k), axis=1)
@@ -144,43 +136,37 @@ def _band_moments(log_e, log_J, modes, span):
     return modes + m1, m2 - m1 * m1
 
 
-def _require_quasiharmonic(model: SpectrumModel, what: str) -> QuasiHarmonic:
-    if not isinstance(model, QuasiHarmonic):
-        raise DomainError(f"{what} is defined for the quasi-harmonic model only")
-    return model
-
-
-def _closed_form_logs(model: SpectrumModel, J: float, what: str):
-    """(u, logs) for the closed forms: logs holds ln 0F1(b + k; J/u^2) for
-    k = 0, 1, 2 with b = 2 + 1/u^2, or is None at u = 0 or J = 0, where each
-    closed form takes its limit."""
-    u = _require_quasiharmonic(model, what).upsilon
+def _closed_form_logs(model: SpectrumModel, J: float):
+    """(c, b, logs) for the closed forms: logs holds ln 0F1(a + k; J/b) for
+    k = 0, 1, 2 with a = c/b + 2, or is None at J = 0 and where a overflows
+    (b = 0 among them), where each closed form takes its limit."""
+    _require_constructible(model)
     _require_argument(J)
-    if u == 0.0 or J == 0.0:
-        return u, None
-    b = 2.0 + 1.0 / u**2
-    z = J / u**2
-    return u, tuple(log_hyp0f1(b + k, z) for k in (0.0, 1.0, 2.0))
+    c, b = model.coefficients
+    a = c / b + 2.0 if b else math.inf
+    if a == math.inf or J == 0.0:
+        return c, b, None
+    return c, b, tuple(log_hyp0f1(a + k, J / b) for k in (0.0, 1.0, 2.0))
 
 
 def mean_closed_form(model: SpectrumModel, J: float) -> float:
-    """<n> = J/(2u^2+1) * 0F1(3+1/u^2; J/u^2) / 0F1(2+1/u^2; J/u^2)."""
-    u, logs = _closed_form_logs(model, J, "mean_closed_form")
+    """<n> = J/(c + 2b) * 0F1(a + 1; J/b) / 0F1(a; J/b), a = c/b + 2."""
+    c, b, logs = _closed_form_logs(model, J)
     if logs is None:
-        return J if u == 0.0 else 0.0  # Poisson limit, or the vacuum
+        return J / c if J else 0.0  # Poisson limit, or the vacuum
     lf2, lf3, _ = logs
-    return J / (2.0 * u**2 + 1.0) * math.exp(lf3 - lf2)
+    return J / (c + 2.0 * b) * math.exp(lf3 - lf2)
 
 
 def variance_closed_form(model: SpectrumModel, J: float) -> float:
-    """(Delta n)^2 = <n>(1-<n>) + J^2/((2u^2+1)(3u^2+1)) * F(4+1/u^2)/F(2+1/u^2)."""
-    u, logs = _closed_form_logs(model, J, "variance_closed_form")
+    """(Delta n)^2 = <n>(1-<n>) + J^2/((c + 2b)(c + 3b)) * 0F1(a + 2; J/b)/0F1(a; J/b)."""
+    c, b, logs = _closed_form_logs(model, J)
     if logs is None:
-        return J if u == 0.0 else 0.0
+        return J / c if J else 0.0
     lf2, lf3, lf4 = logs
-    mean = J / (2.0 * u**2 + 1.0) * math.exp(lf3 - lf2)
+    mean = J / (c + 2.0 * b) * math.exp(lf3 - lf2)
     ratio42 = math.exp(lf4 - lf2)
-    return mean * (1.0 - mean) + J**2 / ((2.0 * u**2 + 1.0) * (3.0 * u**2 + 1.0)) * ratio42
+    return mean * (1.0 - mean) + J**2 / ((c + 2.0 * b) * (c + 3.0 * b)) * ratio42
 
 
 def mandel_q(model: SpectrumModel, J: float) -> float:
@@ -189,14 +175,12 @@ def mandel_q(model: SpectrumModel, J: float) -> float:
 
 
 def mandel_q_closed_form(model: SpectrumModel, J: float) -> float:
-    """Two-ratio 0F1 form of Q for the quasi-harmonic model."""
-    u, logs = _closed_form_logs(model, J, "mandel_q_closed_form")
+    """Two-ratio 0F1 form of Q: J/(c + 3b) * F(a + 2)/F(a + 1) - J/(c + 2b) * F(a + 1)/F(a)."""
+    c, b, logs = _closed_form_logs(model, J)
     if logs is None:
         return 0.0
     lf2, lf3, lf4 = logs
-    return J / (3.0 * u**2 + 1.0) * math.exp(lf4 - lf3) - J / (
-        2.0 * u**2 + 1.0
-    ) * math.exp(lf3 - lf2)
+    return J / (c + 3.0 * b) * math.exp(lf4 - lf3) - J / (c + 2.0 * b) * math.exp(lf3 - lf2)
 
 
 _SOLVE_J_TOL = 1e-8  # the bisection ends at a bracket on J of a tenth of this
@@ -235,8 +219,8 @@ def solve_j(model: SpectrumModel, n0: float) -> float:
 # The positive measure reproducing rho_n reduces, after the 0F1 factor of
 # w(J) cancels against N^2(J), to
 #
-#     wtilde(J) = 2 x^(nu/2) K_nu(2 sqrt(x)) / (u^2 Gamma(2 + 1/u^2)),
-#     x = J/u^2,   nu = 1 + 1/u^2,
+#     wtilde(J) = 2 x^(nu/2) K_nu(2 sqrt(x)) / (b Gamma(a)),
+#     x = J/b,   a = c/b + 2,   nu = a - 1,
 #
 # and int_0^inf wtilde(J) J^n dJ must equal rho_n.  The Bessel reduction of
 # the underlying Meijer G kernel is checked in the test suite against its
@@ -255,31 +239,28 @@ class MeasureMoment:
     converged: bool
 
 
-def _log_wtilde(model: QuasiHarmonic, J: np.ndarray) -> np.ndarray:
-    u = model.upsilon
-    nu = 1.0 + 1.0 / u**2
-    x = J / u**2
+def _log_wtilde(c: float, b: float, J: np.ndarray) -> np.ndarray:
+    nu = c / b + 1.0
+    x = J / b
     return (
         math.log(2.0)
         + 0.5 * nu * np.log(x)
         + log_bessel_k(nu, 2.0 * np.sqrt(x))
-        - 2.0 * math.log(u)
-        - math.lgamma(2.0 + 1.0 / u**2)
+        - math.log(b)
+        - math.lgamma(c / b + 2.0)
     )
 
 
-def _measure_cutoff(model: QuasiHarmonic, n_max: int) -> float:
+def _measure_cutoff(c: float, b: float, n_max: int) -> float:
     """Upper integration limit where the n_max integrand is ~1e-20 of its peak."""
-    u = model.upsilon
-    nu = 1.0 + 1.0 / u**2
-    j_hi = u**2 * (n_max + 0.5 * nu + 25.0) ** 2
+    j_hi = b * (n_max + 0.5 * (c / b + 1.0) + 25.0) ** 2
     probe = np.geomspace(max(j_hi * 1e-6, 1e-12), j_hi, 400)
-    lg = _log_wtilde(model, probe) + n_max * np.log(probe)
+    lg = _log_wtilde(c, b, probe) + n_max * np.log(probe)
     peak = float(lg.max())
     while float(lg[-1]) > peak - 46.0:
         j_hi *= 1.5
         probe = np.geomspace(max(j_hi * 1e-6, 1e-12), j_hi, 400)
-        lg = _log_wtilde(model, probe) + n_max * np.log(probe)
+        lg = _log_wtilde(c, b, probe) + n_max * np.log(probe)
         peak = max(peak, float(lg.max()))
     return j_hi
 
@@ -288,11 +269,11 @@ def _measure_cutoff(model: QuasiHarmonic, n_max: int) -> float:
 _PANEL_ORDER = 20
 
 
-def _measure_nodes(model: QuasiHarmonic, j_hi: float, total_nodes: int):
+def _measure_nodes(c: float, b: float, j_hi: float, total_nodes: int):
     """Gauss-Legendre panel nodes on [0, j_hi] with wtilde evaluated once.
 
     Panel edges are graded quadratically towards J = 0: the integrand varies
-    on the sqrt(J) scale (decay ~ exp(-2 sqrt(J)/u)), so uniform panels sized
+    on the sqrt(J) scale (decay ~ exp(-2 sqrt(J/b))), so uniform panels sized
     for the far tail would under-resolve the low moments.
     """
     panels = total_nodes // _PANEL_ORDER
@@ -302,16 +283,18 @@ def _measure_nodes(model: QuasiHarmonic, j_hi: float, total_nodes: int):
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
-    return nodes, weights * np.exp(_log_wtilde(model, nodes))
+    return nodes, weights * np.exp(_log_wtilde(c, b, nodes))
 
 
 def verify_measure_moments(
     model: SpectrumModel, n_max: int = 5, total_nodes: int = 2000
 ) -> list[MeasureMoment]:
     """Quadrature moments of the reproducing measure against rho_n, n <= n_max."""
-    m = _require_quasiharmonic(model, "verify_measure_moments")
-    if not m.upsilon > 0:
-        raise DomainError("measure check requires upsilon > 0")
+    c, b = model.coefficients
+    if not b > 0:
+        raise DomainError(
+            f"the measure check requires b > 0 in e_n = n (c + b (n + 1)), got b = {b} for {model!r}"
+        )
     if not 0 <= n_max <= 20:
         raise DomainError(f"n_max must be in [0, 20], got {n_max}")
     if total_nodes < _PANEL_ORDER:
@@ -319,10 +302,10 @@ def verify_measure_moments(
             f"total_nodes must be at least {_PANEL_ORDER}, one {_PANEL_ORDER}-node "
             f"Gauss-Legendre panel; got {total_nodes}"
         )
-    j_hi = _measure_cutoff(m, n_max)
-    nodes, wts = _measure_nodes(m, j_hi, total_nodes)
-    nodes_c, wts_c = _measure_nodes(m, j_hi, max(200, total_nodes // 2))
-    log_rho = log_rho_sequence(m, n_max)
+    j_hi = _measure_cutoff(c, b, n_max)
+    nodes, wts = _measure_nodes(c, b, j_hi, total_nodes)
+    nodes_c, wts_c = _measure_nodes(c, b, j_hi, max(200, total_nodes // 2))
+    log_rho = log_rho_sequence(model, n_max)
     rows = []
     for n in range(n_max + 1):
         lhs = float(np.dot(wts, nodes**n))

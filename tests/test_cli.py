@@ -1,6 +1,7 @@
 """CLI surface: schemas, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,9 +17,22 @@ import pytest
 from gkstates import cli
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_process(*args: str) -> subprocess.CompletedProcess:
+    """`python -m gkstates *args` in a fresh interpreter."""
     cmd = [sys.executable, "-m", "gkstates", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`gkstates *args` through cli.main in this process, reported as run_process
+    reports it; tests that are about the process itself use run_process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 def read_csv(text: str):
@@ -27,7 +41,8 @@ def read_csv(text: str):
 
 
 def test_help():
-    cp = run_cli("--help")
+    # a real `python -m gkstates`, so __main__ and the entry point run
+    cp = run_process("--help")
     assert cp.returncode == 0, cp.stderr
     assert "Gazeau-Klauder" in cp.stdout
 
@@ -272,7 +287,7 @@ def test_one_parser_serves_many_calls(monkeypatch, capsys):
         except SystemExit as exc:
             rc = exc.code
         out, err = capsys.readouterr()
-        fresh = run_cli(*argv)
+        fresh = run_process(*argv)
         assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
@@ -316,11 +331,11 @@ def test_byte_identical_reruns(tmp_path: Path):
         "--n0", "10", "--samples-per-tcl", "20",
     ]
     out1, out2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
-    assert run_cli(*args, "--out", str(out1)).returncode == 0
-    assert run_cli(*args, "--out", str(out2)).returncode == 0
+    assert run_process(*args, "--out", str(out1)).returncode == 0
+    assert run_process(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
-    j1 = run_cli("moments", "--upsilon", "0.2", "--n0", "10", "--format", "json").stdout
-    j2 = run_cli("moments", "--upsilon", "0.2", "--n0", "10", "--format", "json").stdout
+    j1 = run_process("moments", "--upsilon", "0.2", "--n0", "10", "--format", "json").stdout
+    j2 = run_process("moments", "--upsilon", "0.2", "--n0", "10", "--format", "json").stdout
     assert j1 == j2
 
 

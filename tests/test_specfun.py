@@ -42,7 +42,11 @@ def test_hyp0f1_large_argument_vs_brute_force():
     assert abs(got - float(ref)) <= 1e-12 * float(ref)
 
 
-@pytest.mark.parametrize("b,z", [(2.5, 1.0), (102.0, 2490.0), (3.0, 459.0), (402.0, 2e5)])
+# b < 1 puts the root of the levels' quadratic, (b - 1) n + n^2 = z, on its
+# negative-a branch; at z = 1e-40 the other form divides by zero
+@pytest.mark.parametrize(
+    "b,z", [(2.5, 1.0), (102.0, 2490.0), (3.0, 459.0), (402.0, 2e5), (0.5, 1e-40), (0.5, 30.0)]
+)
 def test_log_hyp0f1_vs_mpmath(b, z):
     mp.mp.dps = 40
     ref = mp.log(mp.hyp0f1(b, z))
@@ -60,6 +64,8 @@ def test_hyp0f1_domain_and_convergence():
         log_hyp0f1(-1.0, 2.0)
     with pytest.raises(DomainError):
         log_hyp0f1(2.0, -1.0)
+    with pytest.raises(DomainError, match="finite z"):
+        log_hyp0f1(2.0, math.inf)
 
 
 def test_bessel_k_half_order():
@@ -123,9 +129,9 @@ def test_bessel_k_domain():
 
 def measure_node_sets(u):
     """The x = 2 sqrt(J)/u of both node sets verify_measure_moments uses."""
-    m = QuasiHarmonic(upsilon=u)
-    j_hi = _measure_cutoff(m, 5)
-    return [2.0 * np.sqrt(_measure_nodes(m, j_hi, total)[0]) / u for total in (2000, 1000)]
+    c, b = QuasiHarmonic(upsilon=u).coefficients
+    j_hi = _measure_cutoff(c, b, 5)
+    return [2.0 * np.sqrt(_measure_nodes(c, b, j_hi, total)[0]) / u for total in (2000, 1000)]
 
 
 @pytest.mark.parametrize("u", [0.1, 0.2, 0.5, 1.0])

@@ -15,7 +15,6 @@ from gkstates import (
     MathewsLakshmanan,
     Morse,
     QuasiHarmonic,
-    SpectrumModel,
     TruncatedSpectrumError,
     distribution,
     log_rho_sequence,
@@ -28,6 +27,7 @@ from gkstates import (
     verify_measure_moments,
 )
 from measure_oracles import validate_bessel_reduction
+from test_coherent import QuadraticSpectrum
 
 UPS_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 J_GRID = np.geomspace(0.1, 500.0, 12)
@@ -130,34 +130,36 @@ def test_moment_sweep_rows_equal_distribution(case):
         assert abs(row[2] - d.mandel_q) <= 1e-14 * (d.variance + d.mean) / d.mean
 
 
-class KinkedSpectrum(SpectrumModel):
-    """e_n = n up to n = kink, n^3 above: past the kink the window at a large
-    J is a few levels wide, while below it a Poisson row's window is wide."""
-
-    alpha = 1.0
-    n_max_valid = None
-
-    def __init__(self, kink):
-        self.kink = kink
-
-    def _e_raw(self, n):
-        return np.where(n <= self.kink, n, n**3.0)
-
-
-def test_moment_sweep_widens_its_band():
-    model = KinkedSpectrum(100)
-    Js = np.linspace(0.0, 1000.0, 51)  # 1000 lies past the kink, 20..100 below it
-    mean, var, _ = moment_sweep(model, Js)
-    for J, got_mean, got_var in zip(Js[1:], mean[1:], var[1:]):
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    strategies.floats(0.01, 10.0),
+    strategies.one_of(strategies.just(0.0), strategies.floats(1e-6, 10.0)),
+    strategies.lists(strategies.floats(0.0, 1.0), min_size=1, max_size=20),
+    strategies.floats(1e-3, 1e4),
+)
+def test_moment_sweep_band_holds_every_quadratic_row(c, b, fractions, j_top):
+    # the band, two steps wider than the window at max(Js), holds the window
+    # of every row (moment_sweep raises otherwise); the Poisson window at
+    # mean J/c = 2e4 holds about 2700 components.  Where P_1 ~ J/e_1 is near
+    # the rounding of ln P_1 (J ~ 1e-15), the two routes' means differ by up
+    # to 4e-15 of their value.
+    model = QuadraticSpectrum(c, b)
+    Js = np.array(fractions) * min(j_top, 2e4 * c)
+    mean, var, q = moment_sweep(model, Js)
+    for J, row in zip(Js, zip(mean, var, q)):
+        if J == 0.0:
+            assert row == (0.0, 0.0, 0.0)
+            continue
         d = distribution(model, float(J))
-        assert abs(got_mean - d.mean) <= 2e-15 * d.mean
-        assert abs(got_var - d.variance) <= 1e-14 * d.variance
+        assert abs(row[0] - d.mean) <= 1e-14 * d.mean
+        assert abs(row[1] - d.variance) <= 1e-14 * d.variance
+        assert abs(row[2] - d.mandel_q) <= 1e-14 * (d.variance + d.mean) / d.mean
 
 
 def test_moment_sweep_names_the_component_cap():
-    # the Poisson row at J = 3.5e5 needs more than 5000 components above its peak
-    with pytest.raises(ConvergenceError, match="more than 5000 components on one side of a peak"):
-        moment_sweep(KinkedSpectrum(400_000), [3.5e5, 4.5e5])
+    # the Poisson window at J = 1e5 needs about 6000 components, over the cap
+    with pytest.raises(ConvergenceError, match=r"needs \d+ components around its peak n=100000, over the cap of 5000"):
+        moment_sweep(QuasiHarmonic(upsilon=0.0), [1e5])
 
 
 @pytest.mark.parametrize("J, message", [
@@ -350,8 +352,16 @@ def test_measure_moments(ups):
         assert abs(rows[1].rhs - 1.5) <= 1e-12  # rho_1 = e_1 = 1.5
 
 
+def test_measure_moments_hold_for_every_b_above_zero():
+    # Mathews-Lakshmanan at lambda_tilde = -0.08 has the levels of upsilon = 0.2
+    rows = verify_measure_moments(MathewsLakshmanan(lambda_tilde=-0.08), n_max=5)
+    for row in rows:
+        assert row.converged
+        assert row.rel_err < 1e-6
+
+
 def test_measure_moments_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"requires b > 0 .* got b = 0\.0 for Morse"):
         verify_measure_moments(Morse(mu=1.0))
     with pytest.raises(DomainError):
         verify_measure_moments(QuasiHarmonic(upsilon=0.0))
